@@ -110,7 +110,7 @@ def overlap_add(frames: np.ndarray, window: np.ndarray, hop: int, out_len: int):
 
 
 # ---------------------------------------------------------------------------
-# order-independent summation of per-speaker ear contributions
+# order-independent summation of a stack of rows
 
 def _kahan_body(contribs):
     n_parts, n = contribs.shape
@@ -134,7 +134,10 @@ def sum_contributions(contribs: np.ndarray) -> np.ndarray:
 
     numpy reduces pairwise, which keeps the result independent of how the
     contributing rows were scheduled; the compensated jit variant
-    (_kahan_jit) exists for the benchmark but measures slower.
+    (_kahan_jit) exists for the benchmark but measures slower. No renderer
+    calls this: binaural.render_ambisonic_hrir sums the speakers inside
+    its precomputed ear filter. It stays for benchmarks/bench_kernels.py
+    and for perfbench's tracer, which resolves it by name.
     """
     return np.sum(np.asarray(contribs, dtype=np.float64), axis=0)
 

@@ -4,18 +4,21 @@ The virtual-speaker renderer projects the B-format field onto a fixed
 speaker array by the minimum-norm least-squares solution (Moore-Penrose
 pseudoinverse of the 4 x M harmonic matrix), then convolves each virtual
 feed with the HRIR pair nearest its speaker direction and sums per ear.
+All three stages are linear and time-invariant, so they run as one
+precomputed 4-in/2-out FIR per (array, pack), cached by object identity;
+arrays and packs are treated as immutable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import wavio
-from ._kernels import sum_contributions
 from .ambisonic import BFormat, MonoSignal
 from .hrir import HrirPack, nearest
 from .spherical import Direction, harmonic_vector
@@ -97,10 +100,22 @@ def decode_wy(b: BFormat) -> BinauralSignal:
     return BinauralSignal(b.w + b.y, b.w - b.y, b.sample_rate)
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Linear convolution via real FFT, trimmed to the first len(x) samples."""
-    n_full = len(x) + len(taps) - 1
-    n_fft = 1 << (n_full - 1).bit_length()
+    n_fft = _smooth_length(len(x) + len(taps) - 1)
     y = np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(taps, n_fft), n_fft)
     return y[: len(x)]
 
@@ -125,22 +140,40 @@ def project_to_speakers(b: BFormat, arr: SpeakerArray) -> list[MonoSignal]:
     return [MonoSignal(feeds[m], b.sample_rate) for m in range(feeds.shape[0])]
 
 
+@lru_cache(maxsize=8)
+def _ear_filters(arr: SpeakerArray, pack: HrirPack) -> np.ndarray:
+    """G[ear, c, t] = sum_m D+[m, c] h_ear,m[t], shaped (2, 4, taps).
+
+    h_ear,m is the HRIR nearest speaker m; shorter FIRs are zero-padded to
+    the longest. Both arguments are eq=False dataclasses, so the cache is
+    keyed by identity; the result is read-only because every caller
+    shares it.
+    """
+    entries = [nearest(pack, d) for d in arr.directions]
+    n_taps = max(max(len(e.left_fir), len(e.right_fir)) for e in entries)
+    h = np.zeros((2, len(entries), n_taps))
+    for m, e in enumerate(entries):
+        h[0, m, : len(e.left_fir)] = e.left_fir
+        h[1, m, : len(e.right_fir)] = e.right_fir
+    g = np.einsum("mc,emt->ect", arr.d_pinv, h)
+    g.flags.writeable = False
+    return g
+
+
 def render_ambisonic_hrir(b: BFormat, arr: SpeakerArray, pack: HrirPack) -> BinauralSignal:
     """Project onto the virtual array, convolve each feed with its nearest
-    HRIR pair, and sum per ear (compensated, order-independent)."""
+    HRIR pair, and sum per ear, as one 4-in/2-out FIR over the B-format
+    channels."""
     if b.sample_rate != pack.sample_rate:
         raise ValueError(f"b-format rate {b.sample_rate} != pack rate {pack.sample_rate}")
-    feeds = arr.d_pinv @ b.channels()
+    g = _ear_filters(arr, pack)
     n = b.n_samples
-    left_parts = np.empty((len(arr.directions), n))
-    right_parts = np.empty((len(arr.directions), n))
-    for m, direction in enumerate(arr.directions):
-        entry = nearest(pack, direction)
-        left_parts[m] = fft_convolve(feeds[m], entry.left_fir)
-        right_parts[m] = fft_convolve(feeds[m], entry.right_fir)
-    return BinauralSignal(
-        sum_contributions(left_parts), sum_contributions(right_parts), b.sample_rate
+    n_fft = _smooth_length(n + g.shape[-1] - 1)
+    spectrum = np.einsum(
+        "ecf,cf->ef", np.fft.rfft(g, n_fft), np.fft.rfft(b.channels(), n_fft)
     )
+    left, right = np.fft.irfft(spectrum, n_fft)[:, :n]
+    return BinauralSignal(left, right, b.sample_rate)
 
 
 def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:

@@ -29,9 +29,13 @@ from .hrir import load_pack, save_pack, synth_pack
 from .metrics import DEFAULT_HOP_S, DEFAULT_WINDOW_S, evaluate
 from .scenegen import DatasetConfig, WavStore, gen_dataset
 from .spherical import Direction
-from .visualmap import DEFAULT_FOV, pixel_to_direction
+from .visualmap import DEFAULT_FOV, FovConfig, pixel_to_direction
 
 DECODERS = ("wy", "hrir", "ambisonic-hrir")
+DATASET_KEYS = frozenset({
+    "master_seed", "count", "pool", "output_dir", "ratios", "pack", "array",
+    "sample_rate", "duration_s", "gain_range", "fov",
+})
 
 
 def _read_mono(path) -> MonoSignal:
@@ -55,6 +59,15 @@ def _resolve_direction(args) -> Direction:
             math.radians(args.azimuth_deg), math.radians(args.zenith_deg)
         )
     return Direction.from_degrees(args.azimuth_deg, args.elevation_deg or 0.0)
+
+
+def _parse_fov(raw, config_path) -> FovConfig:
+    keys = set(DEFAULT_FOV.to_dict())
+    if not isinstance(raw, dict) or set(raw) != keys:
+        raise ValueError(
+            f"fov in {config_path} must have exactly the keys {', '.join(sorted(keys))}"
+        )
+    return FovConfig.from_dict({k: float(v) for k, v in raw.items()})
 
 
 def _load_or_default_pack(path, sample_rate: int):
@@ -94,6 +107,9 @@ def cmd_render(args) -> int:
 def cmd_dataset(args) -> int:
     config_path = Path(args.config)
     raw = json.loads(config_path.read_text())
+    unknown = sorted(set(raw) - DATASET_KEYS)
+    if unknown:
+        raise ValueError(f"unknown keys in {config_path}: {', '.join(unknown)}")
     root = config_path.parent
     pool = [str(p) for p in raw["pool"]]
     store = WavStore(root)
@@ -125,6 +141,7 @@ def cmd_dataset(args) -> int:
         sample_rate=int(raw.get("sample_rate", 16000)),
         duration_s=float(raw.get("duration_s", 0.63)),
         gain_range=tuple(raw.get("gain_range", (0.5, 1.0))),
+        fov=_parse_fov(raw["fov"], config_path) if raw.get("fov") is not None else DEFAULT_FOV,
     )
     try:
         manifest = gen_dataset(config, store, pack, arr)

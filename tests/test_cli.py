@@ -218,6 +218,34 @@ class TestDataset:
             meta = json.loads((tmp_path / "out" / item["scene_json"]).read_text())
             assert len(meta["sources"]) == 1
 
+    def test_fov_is_used_and_recorded(self, tmp_path):
+        pool = self.make_pool(tmp_path)
+        fov = {"theta_v0": 0.5, "aspect_hw": 0.75, "vert_extent": 0.25}
+        config = self.write_config(tmp_path, pool, fov=fov)
+        assert main(["dataset", "--config", str(config)]) == 0
+        for item in json.loads((tmp_path / "out" / "manifest.json").read_text()):
+            meta = json.loads((tmp_path / "out" / item["scene_json"]).read_text())
+            assert meta["fov"] == fov
+            for src in meta["sources"]:
+                assert abs(src["azimuth_rad"]) <= fov["theta_v0"] + 1e-12
+
+    def test_unknown_key_fails_before_work(self, tmp_path, capsys):
+        pool = self.make_pool(tmp_path)
+        config = self.write_config(tmp_path, pool, ratio=[1.0, 0.0, 0.0], fvo={})
+        assert main(["dataset", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "fvo, ratio" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_misspelled_fov_key_fails(self, tmp_path, capsys):
+        pool = self.make_pool(tmp_path)
+        fov = {"theta_v0": 0.5, "aspect_hw": 0.75, "vert_extent": 0.25, "vert_extnt": 1.0}
+        config = self.write_config(tmp_path, pool, fov=fov)
+        assert main(["dataset", "--config", str(config)]) == 1
+        assert "fov in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_pool_clip_fails_before_work(self, tmp_path, capsys):
         config = self.write_config(tmp_path, ["ghost.wav"])
         assert main(["dataset", "--config", str(config)]) == 1

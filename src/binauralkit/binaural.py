@@ -24,6 +24,11 @@ from .hrir import HrirPack, nearest
 from .spherical import Direction, harmonic_vector
 
 PINV_IDENTITY_TOL = 1e-9
+# Largest accepted 2-norm condition number of the harmonic matrix. Past it
+# the pseudoinverse's gains run to hundreds and cancel each other, and the
+# float64 rounding of a render grows with them (about eps * cond relative
+# to the signal).
+MAX_CONDITION = 1e3
 
 # Default virtual array: 8 speakers uniformly spanning the frontal 180 degree
 # arc. Elevations alternate +/-22.5 degrees in a left-right mirror-symmetric
@@ -73,8 +78,9 @@ class SpeakerArray:
 def make_speaker_array(directions: Sequence[Direction]) -> SpeakerArray:
     """Build the 4 x M harmonic matrix and its Moore-Penrose pseudoinverse.
 
-    Raises if fewer than four speakers are given or the matrix is not of
-    full row rank (the SVD-based pseudoinverse is rank-revealing).
+    Raises if fewer than four speakers are given, the matrix is not of
+    full row rank (the SVD-based pseudoinverse is rank-revealing), or its
+    condition number exceeds MAX_CONDITION.
     """
     directions = tuple(directions)
     if len(directions) < 4:
@@ -82,6 +88,12 @@ def make_speaker_array(directions: Sequence[Direction]) -> SpeakerArray:
     d_matrix = np.stack([harmonic_vector(d) for d in directions], axis=1)
     if np.linalg.matrix_rank(d_matrix) < 4:
         raise ValueError("speaker layout is rank-deficient; spread the directions out")
+    cond = np.linalg.cond(d_matrix)
+    if cond > MAX_CONDITION:
+        raise ValueError(
+            f"speaker layout is ill-conditioned (condition number {cond:.3g} > "
+            f"{MAX_CONDITION:g}); spread the directions out"
+        )
     d_pinv = np.linalg.pinv(d_matrix)
     err = np.abs(d_matrix @ d_pinv - np.eye(4)).max()
     if err > PINV_IDENTITY_TOL:

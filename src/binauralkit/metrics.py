@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from ._kernels import phase_mean_abs
 from .ambisonic import MonoSignal
@@ -78,8 +77,20 @@ def _l2(bins: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
 
 
+def hilbert(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of a real 1-D array: x + i H{x}.
+
+    Keeps the one-sided spectrum, doubling bins 1 .. ceil(n/2) - 1 (DC
+    and, for even n, Nyquist stay single), and inverts at length n.
+    """
+    n = len(x)
+    spec = np.fft.rfft(x)
+    spec[1 : (n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec, n)
+
+
 def _envelope(x: np.ndarray) -> np.ndarray:
-    # magnitude of the analytic signal (one-sided spectrum doubling)
+    # magnitude of the analytic signal
     return np.abs(hilbert(x))
 
 

@@ -207,6 +207,21 @@ def synth_pseudo_pair(
     )
 
 
+def _check_sampling(
+    pool: Sequence[str], ratios: Sequence[float], gain_range: tuple[float, float]
+) -> np.ndarray:
+    """Validate the scene-sampling parameters; returns ratios as an array."""
+    if len(pool) < 3:
+        raise ValueError(f"clip pool must hold at least 3 clips, got {len(pool)}")
+    ratios = np.asarray(ratios, dtype=np.float64)
+    if ratios.shape != (3,) or np.any(ratios < 0) or abs(ratios.sum() - 1.0) > 1e-9:
+        raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
+    lo, hi = gain_range
+    if not 0 < lo <= hi:
+        raise ValueError(f"invalid gain range {gain_range}")
+    return ratios
+
+
 def sample_scene(
     rng_seed: int,
     pool: Sequence[str],
@@ -219,15 +234,8 @@ def sample_scene(
 ) -> SceneSpec:
     """Draw a random scene: K ~ ratios over {1,2,3}, K distinct clips,
     uniform in-frame placements, uniform gains. Deterministic in the seed."""
-    if len(pool) < 3:
-        raise ValueError(f"clip pool must hold at least 3 clips, got {len(pool)}")
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,) or np.any(ratios < 0) or abs(ratios.sum() - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
+    ratios = _check_sampling(pool, ratios, gain_range)
     lo, hi = gain_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"invalid gain range {gain_range}")
-
     rng = np.random.default_rng(int(rng_seed))
     k = int(rng.choice(3, p=ratios / ratios.sum())) + 1
     picks = rng.choice(len(pool), size=k, replace=False)
@@ -291,6 +299,7 @@ class DatasetConfig:
         object.__setattr__(self, "pool", tuple(self.pool))
         if self.count < 0:
             raise ValueError(f"count must be non-negative, got {self.count}")
+        _check_sampling(self.pool, self.ratios, self.gain_range)
 
 
 def gen_dataset(

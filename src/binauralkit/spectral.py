@@ -1,9 +1,11 @@
 """STFT/ISTFT engine, complex masking, and the stereo/separation losses.
 
 The defaults (n_fft 512, Hann window of 400, hop 160 at 16 kHz) are laid
-out so a 0.63 s clip transforms to exactly 257 x 64 complex bins. Frames
-are centered with reflection padding; the inverse uses overlap-add with
-squared-window normalization, which the config validates at construction.
+out so a 0.63 s clip transforms to exactly 257 x 64 complex bins. The
+window is always a periodic Hann of ``win_length`` samples, centered in
+the ``n_fft`` frame. Frames are centered with reflection padding; the
+inverse uses overlap-add with squared-window normalization, which the
+config validates at construction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import get_window
 
 from ._kernels import overlap_add
 from .ambisonic import MonoSignal
@@ -29,7 +30,6 @@ class StftConfig:
     n_fft: int = 512
     win_length: int = 400
     hop: int = 160
-    window: str = "hann"
     sample_rate: int = 16000
 
     def __post_init__(self):
@@ -47,8 +47,8 @@ class StftConfig:
         cover = np.array([w2[r :: self.hop].sum() for r in range(self.hop)])
         if cover.min() < NOLA_TOL:
             raise ValueError(
-                f"window {self.window!r}/hop {self.hop} violates the overlap-add "
-                "condition; inverse reconstruction would be undefined"
+                f"Hann window of {self.win_length} with hop {self.hop} violates the "
+                "overlap-add condition; inverse reconstruction would be undefined"
             )
 
     @property
@@ -64,7 +64,13 @@ class StftConfig:
 
 @lru_cache(maxsize=8)
 def _padded_window(cfg: StftConfig) -> np.ndarray:
-    win = get_window(cfg.window, cfg.win_length, fftbins=True)
+    # periodic (DFT-even) Hann: n + 1 symmetric points with the last dropped;
+    # a 1-sample window is [1.0]
+    n = cfg.win_length
+    if n > 1:
+        win = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
+    else:
+        win = np.ones(1)
     padded = np.zeros(cfg.n_fft)
     off = (cfg.n_fft - cfg.win_length) // 2
     padded[off : off + cfg.win_length] = win

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import legendre_values
-
 HALF_PI = math.pi / 2
 
 
@@ -52,23 +50,54 @@ class Direction:
         return cls(azimuth, HALF_PI - zenith)
 
 
+def _legendre(l: int, m: int, x):
+    """P^m_l(x) for 0 <= m <= l, no phase factor; x is a float or a float64 ndarray.
+
+    The same arithmetic runs on both: seed P^m_m = (2m-1)!! (1-x^2)^{m/2},
+    then raise l by the standard three-term recurrence
+    (l-m) P^m_l = (2l-1) x P^m_{l-1} - (l+m-1) P^m_{l-2}.
+    """
+    is_array = isinstance(x, np.ndarray)
+    pmm = np.ones_like(x) if is_array else 1.0
+    if m > 0:
+        somx2 = (np.sqrt if is_array else math.sqrt)((1.0 - x) * (1.0 + x))
+        fact = 1.0
+        for _ in range(m):
+            pmm = pmm * fact * somx2
+            fact += 2.0
+    if l == m:
+        return pmm
+    pmmp1 = x * (2.0 * m + 1.0) * pmm
+    if l == m + 1:
+        return pmmp1
+    pll = pmmp1
+    for ll in range(m + 2, l + 1):
+        pll = (x * (2.0 * ll - 1.0) * pmmp1 - (ll + m - 1.0) * pmm) / (ll - m)
+        pmm = pmmp1
+        pmmp1 = pll
+    return pll
+
+
 def assoc_legendre(l: int, m: int, x):
     """Associated Legendre P^|m|_l(x) without the Condon-Shortley phase.
 
-    Accepts a scalar or an ndarray for ``x``; |x| must not exceed 1.
+    Accepts a scalar (returns a float) or an array (returns an ndarray of
+    its shape) for ``x``; |x| must not exceed 1.
     """
     if l < 0:
         raise ValueError(f"order l must be non-negative, got {l}")
     m = abs(int(m))
     if m > l:
         raise ValueError(f"|m| = {m} exceeds l = {l}")
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > 1.0):
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
+        x = float(x)
+        in_domain = -1.0 <= x <= 1.0
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        in_domain = bool(np.all(np.abs(x) <= 1.0))
+    if not in_domain:  # NaN fails the comparison too
         raise ValueError("argument x must lie in [-1, 1]")
-    values = legendre_values(int(l), m, np.atleast_1d(arr))
-    if arr.ndim == 0:
-        return float(values[0])
-    return values.reshape(arr.shape)
+    return _legendre(int(l), m, x)
 
 
 def sn3d_norm(l: int, m: int) -> float:

@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-pass/fail lines. Timed criteria measure the operation itself, after JIT
-warm-up of the hot kernels.
+pass/fail lines. Timed criteria measure the operation itself.
 """
 
 import hashlib
@@ -10,10 +9,8 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.signal
 
-from binauralkit import _kernels
 from binauralkit.ambisonic import MonoSignal, encode
 from binauralkit.binaural import decode_wy, default_speaker_array, render_ambisonic_hrir
 from binauralkit.hrir import synth_pack
@@ -43,11 +40,6 @@ from binauralkit.spherical import Direction, real_sph_harmonic
 from binauralkit.visualmap import direction_to_pixel, pixel_to_direction
 
 SR = 16000
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    _kernels.warmup()
 
 
 def check(num, name, ok, detail=""):

@@ -145,6 +145,14 @@ class TestSpeakerArray:
         with pytest.raises(ValueError, match="at least 4"):
             make_speaker_array([Direction(0, 0)] * 3)
 
+    def test_nearly_singular_layout_rejected(self):
+        # full rank, but condition number 3.8e5 and decoder gains of 6.4e4
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            make_speaker_array([
+                Direction(0.0, 0.0), Direction(0.0, 1.25), Direction(0.5, 0.0),
+                Direction(0.0, 0.0), Direction(6.103515625e-05, 0.0),
+            ])
+
 
 class TestProjection:
     def test_reencode_recovers_bformat(self, noise):

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binauralkit
 from binauralkit import wavio
 from binauralkit.cli import main
 
@@ -246,8 +251,32 @@ class TestDataset:
         assert "fov in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_one_clip_pool_fails_before_work(self, tmp_path, capsys):
+        pool = self.make_pool(tmp_path, n=1)
+        config = self.write_config(tmp_path, pool)
+        assert main(["dataset", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "clip pool must hold at least 3 clips, got 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_pool_clip_fails_before_work(self, tmp_path, capsys):
         config = self.write_config(tmp_path, ["ghost.wav"])
         assert main(["dataset", "--config", str(config)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_numba():
+    # a fresh interpreter, so modules other tests loaded do not count
+    src = str(Path(binauralkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, binauralkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numba' "
+        "or m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.binaural import BinauralSignal
@@ -11,6 +12,7 @@ from binauralkit.metrics import (
     d_phase,
     env_distance,
     evaluate,
+    hilbert,
     mag_distance,
     snr,
     stft_distance,
@@ -77,8 +79,6 @@ class TestEnvDistance:
 
     def test_sine_envelope_is_flat(self):
         # analytic-signal magnitude of a pure tone is ~1 away from the edges
-        from scipy.signal import hilbert
-
         t = np.arange(SR) / SR
         env = np.abs(hilbert(np.sin(2 * np.pi * 440 * t)))
         np.testing.assert_allclose(env[200:-200], 1.0, atol=1e-3)
@@ -87,6 +87,20 @@ class TestEnvDistance:
         gt = noise_pair(8)
         flipped = binaural(-gt.left, -gt.right)
         assert env_distance(gt, flipped) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestHilbert:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 777, 4096, 10080, 10081])
+    def test_matches_scipy(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        expected = scipy.signal.hilbert(x)
+        got = hilbert(x)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_real_part_is_the_input(self):
+        x = np.random.default_rng(1).normal(size=1001)
+        np.testing.assert_allclose(hilbert(x).real, x, atol=1e-12)
 
 
 class TestMagDistance:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import get_window
 
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.spectral import (
@@ -7,6 +8,7 @@ from binauralkit.spectral import (
     ComplexMask,
     Spectrogram,
     StftConfig,
+    _padded_window,
     apply_mask,
     istft,
     loss_separation,
@@ -47,6 +49,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             StftConfig(n_fft=512, win_length=256, hop=400)
 
+    def test_window_is_periodic_hann(self):
+        # bit-exact against the periodic Hann of scipy, 1-sample window included
+        for n in range(1, 1025):
+            cfg = StftConfig(n_fft=n, win_length=n, hop=1)
+            expected = get_window("hann", n, fftbins=True)
+            np.testing.assert_array_equal(_padded_window(cfg), expected, err_msg=f"n={n}")
+
+    def test_window_is_centered_in_the_frame(self):
+        padded = _padded_window(DEFAULT_STFT)
+        np.testing.assert_array_equal(padded[56:456], get_window("hann", 400, fftbins=True))
+        assert not padded[:56].any() and not padded[456:].any()
+
     def test_rejects_overlap_add_violation(self):
         # hann at hop == win leaves zero-coverage sample offsets
         with pytest.raises(ValueError, match="overlap-add"):
@@ -74,8 +88,6 @@ class TestStft:
         interior = np.abs(spec.bins[:, 8:-8])
         assert np.all(np.argmax(interior, axis=0) == k)
         # windowed-DFT closed form: peak magnitude ~ sum(window)/2
-        from scipy.signal import get_window
-
         expected = get_window("hann", 400, fftbins=True).sum() / 2
         np.testing.assert_allclose(interior[k], expected, rtol=1e-2)
 

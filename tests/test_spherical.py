@@ -78,6 +78,25 @@ class TestAssocLegendre:
         x = np.linspace(-1, 1, 11)
         np.testing.assert_allclose(assoc_legendre(1, 0, x), x)
 
+    def test_array_matches_closed_form(self):
+        x = np.random.default_rng(51).uniform(-1, 1, 64)
+        np.testing.assert_allclose(assoc_legendre(1, 1, x), np.sqrt(1 - x**2), atol=1e-14)
+        np.testing.assert_allclose(assoc_legendre(2, 1, x), 3 * x * np.sqrt(1 - x**2), atol=1e-13)
+
+    def test_array_keeps_shape(self):
+        x = np.linspace(-1, 1, 12).reshape(3, 4)
+        for l, m in [(0, 0), (1, 0), (3, 2)]:
+            assert assoc_legendre(l, m, x).shape == (3, 4)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 8), st.integers(0, 8), st.floats(-1.0, 1.0))
+    def test_scalar_equals_one_element_array(self, l, m, x):
+        m = min(m, l)
+        scalar = assoc_legendre(l, m, x)
+        assert type(scalar) is float
+        assert scalar == assoc_legendre(l, m, np.array([x]))[0]
+        assert scalar == assoc_legendre(l, m, np.float64(x))
+
     @settings(max_examples=200)
     @given(st.integers(0, 6), st.integers(0, 6), st.floats(-1.0, 1.0))
     def test_matches_scipy_with_phase_correction(self, l, m, x):

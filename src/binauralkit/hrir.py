@@ -176,6 +176,17 @@ def save_pack(pack: HrirPack, path) -> None:
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 
+_ENTRY_KEYS = ("left", "right", "azimuth_deg", "elevation_deg")
+
+
+def _require_keys(obj, keys, where) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{where} is missing required key {key!r}")
+
+
 def load_pack(path) -> HrirPack:
     """Load and validate a pack directory written in the index.json format."""
     root = Path(path)
@@ -186,15 +197,16 @@ def load_pack(path) -> HrirPack:
         index = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed index.json under {root}: {exc}") from exc
+    _require_keys(index, ("name", "sample_rate", "entries"), index_path)
+    name, raw_entries = index["name"], index["entries"]
     try:
-        name = index["name"]
         sample_rate = int(index["sample_rate"])
-        raw_entries = index["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"index.json under {root} is missing required keys") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{index_path}: sample_rate is not an integer") from exc
 
     entries = []
-    for raw in raw_entries:
+    for i, raw in enumerate(raw_entries):
+        _require_keys(raw, _ENTRY_KEYS, f"{index_path} entry {i}")
         direction = Direction.from_degrees(raw["azimuth_deg"], raw["elevation_deg"])
         firs = []
         for ear in ("left", "right"):

@@ -11,14 +11,14 @@ phase of an exactly zero bin counts as 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import phase_mean_abs
-from .ambisonic import MonoSignal
 from .binaural import BinauralSignal
-from .spectral import DEFAULT_STFT, Spectrogram, StftConfig, stft
+from .spectral import DEFAULT_STFT, Spectrogram, StftConfig, _stft_bins
 
 DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
@@ -57,41 +57,65 @@ def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
         raise ValueError(f"sample rates differ: {gt.sample_rate} vs {pred.sample_rate}")
 
 
-def _window_starts(n: int, sample_rate: int, window_s: float | None, hop_s: float):
+def _samples(name: str, seconds: float, sample_rate: int) -> int:
+    if not (0 < seconds < math.inf) or round(seconds * sample_rate) < 1:
+        raise ValueError(f"{name} must be positive and span at least one sample, got {seconds}")
+    return int(round(seconds * sample_rate))
+
+
+def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float):
+    """Check the pair and the window parameters, then return an iterator over
+    the windows, each a (4, win) block of gt l, gt r, pred l and pred r."""
+    _check_pair(gt, pred)
+    n = gt.n_samples
     if window_s is None:
-        return n, [0]
-    win = int(round(window_s * sample_rate))
-    hop = max(1, int(round(hop_s * sample_rate)))
-    if win <= 0 or n < win:
-        raise ValueError(
-            f"signal of {n} samples is shorter than the {window_s} s window"
-        )
-    return win, list(range(0, n - win + 1, hop))
+        win, hop = n, 1  # one window
+    else:
+        win = _samples("window_s", window_s, gt.sample_rate)
+        hop = _samples("hop_s", hop_s, gt.sample_rate)
+        if n < win:
+            raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
+    rows = (gt.left, gt.right, pred.left, pred.right)
+    return (np.stack([r[s : s + win] for r in rows]) for s in range(0, n - win + 1, hop))
 
 
-def _spec(x: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:
-    return stft(MonoSignal(x, sample_rate), cfg).bins
+def _spectra(rows: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:
+    """`stft` bins of each row, with the finiteness check of `Spectrogram`."""
+    bins = _stft_bins(rows, sample_rate, cfg)
+    if not np.all(np.isfinite(bins)):
+        raise ValueError("spectrogram contains non-finite bins")
+    return bins
 
 
 def _l2(bins: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
 
 
+def _stft_term(x: np.ndarray) -> float:
+    """L2 distance of gt rows 0, 1 (l, r) from prediction rows 2, 3, summed
+    over the channels; the mag and env terms apply it to other features."""
+    return _l2(x[0] - x[2]) + _l2(x[1] - x[3])
+
+
+def _mag_term(spec: np.ndarray) -> float:
+    return _stft_term(np.abs(spec))
+
+
+def _env_term(block: np.ndarray) -> float:
+    # envelope: magnitude of the analytic signal
+    return _stft_term(np.abs(hilbert(block)))
+
+
 def hilbert(x: np.ndarray) -> np.ndarray:
-    """Analytic signal of a real 1-D array: x + i H{x}.
+    """Analytic signal x + i H{x} of a real array, along its last axis.
 
     Keeps the one-sided spectrum, doubling bins 1 .. ceil(n/2) - 1 (DC
     and, for even n, Nyquist stay single), and inverts at length n.
     """
-    n = len(x)
-    spec = np.fft.rfft(x)
-    spec[1 : (n + 1) // 2] *= 2.0
-    return np.fft.ifft(spec, n)
-
-
-def _envelope(x: np.ndarray) -> np.ndarray:
-    # magnitude of the analytic signal
-    return np.abs(hilbert(x))
+    n = np.shape(x)[-1]
+    spec = np.fft.rfft(x, axis=-1)
+    spec[..., 1 : (n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec, n, axis=-1)
 
 
 def _snr_db(gt_l, gt_r, pd_l, pd_r, cap_db: float) -> float | None:
@@ -112,15 +136,8 @@ def stft_distance(
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """Complex L2 spectrogram distance, both channels, averaged over windows."""
-    _check_pair(gt, pred)
-    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
-    sr = gt.sample_rate
-    vals = [
-        _l2(_spec(gt.left[s : s + win], sr, cfg) - _spec(pred.left[s : s + win], sr, cfg))
-        + _l2(_spec(gt.right[s : s + win], sr, cfg) - _spec(pred.right[s : s + win], sr, cfg))
-        for s in starts
-    ]
-    return float(np.mean(vals))
+    blocks = _windows(gt, pred, window_s, hop_s)
+    return float(np.mean([_stft_term(_spectra(b, gt.sample_rate, cfg)) for b in blocks]))
 
 
 def env_distance(
@@ -130,14 +147,8 @@ def env_distance(
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """L2 distance between Hilbert envelopes, both channels, averaged over windows."""
-    _check_pair(gt, pred)
-    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
-    vals = []
-    for s in starts:
-        d_l = _envelope(gt.left[s : s + win]) - _envelope(pred.left[s : s + win])
-        d_r = _envelope(gt.right[s : s + win]) - _envelope(pred.right[s : s + win])
-        vals.append(np.sqrt(np.sum(d_l**2)) + np.sqrt(np.sum(d_r**2)))
-    return float(np.mean(vals))
+    blocks = _windows(gt, pred, window_s, hop_s)
+    return float(np.mean([_env_term(b) for b in blocks]))
 
 
 def mag_distance(
@@ -148,19 +159,8 @@ def mag_distance(
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """L2 distance between magnitude spectrograms, both channels, averaged."""
-    _check_pair(gt, pred)
-    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
-    sr = gt.sample_rate
-    vals = []
-    for s in starts:
-        d_l = np.abs(_spec(gt.left[s : s + win], sr, cfg)) - np.abs(
-            _spec(pred.left[s : s + win], sr, cfg)
-        )
-        d_r = np.abs(_spec(gt.right[s : s + win], sr, cfg)) - np.abs(
-            _spec(pred.right[s : s + win], sr, cfg)
-        )
-        vals.append(_l2(d_l) + _l2(d_r))
-    return float(np.mean(vals))
+    blocks = _windows(gt, pred, window_s, hop_s)
+    return float(np.mean([_mag_term(_spectra(b, gt.sample_rate, cfg)) for b in blocks]))
 
 
 def snr(gt: BinauralSignal, pred: BinauralSignal, cap_db: float = SNR_CAP_DB) -> float:
@@ -177,7 +177,7 @@ def d_phase(
 ) -> float:
     """Mean |principal-value phase difference| between the ground-truth l-r
     spectrogram and a predicted difference spectrogram."""
-    gt_diff = _spec(gt.left - gt.right, gt.sample_rate, cfg)
+    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate, cfg)
     if gt_diff.shape != pred_diff_spec.shape:
         raise ValueError(
             f"shape mismatch: gt diff {gt_diff.shape} vs prediction {pred_diff_spec.shape}"
@@ -199,25 +199,19 @@ def evaluate(
     with the prediction's own l-r spectrogram. Windows whose ground truth
     is completely silent are excluded from the SNR average only.
     """
-    _check_pair(gt, pred)
-    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
     sr = gt.sample_rate
-    stft_vals, env_vals, mag_vals, snr_vals, phase_vals = [], [], [], [], []
-    for s in starts:
-        gl, gr = gt.left[s : s + win], gt.right[s : s + win]
-        pl, pr = pred.left[s : s + win], pred.right[s : s + win]
-        sgl, sgr = _spec(gl, sr, cfg), _spec(gr, sr, cfg)
-        spl, spr = _spec(pl, sr, cfg), _spec(pr, sr, cfg)
-        stft_vals.append(_l2(sgl - spl) + _l2(sgr - spr))
-        mag_vals.append(_l2(np.abs(sgl) - np.abs(spl)) + _l2(np.abs(sgr) - np.abs(spr)))
-        env_vals.append(
-            np.sqrt(np.sum((_envelope(gl) - _envelope(pl)) ** 2))
-            + np.sqrt(np.sum((_envelope(gr) - _envelope(pr)) ** 2))
-        )
-        value = _snr_db(gl, gr, pl, pr, snr_cap_db)
-        if value is not None:
-            snr_vals.append(value)
-        phase_vals.append(phase_mean_abs(_spec(gl - gr, sr, cfg), _spec(pl - pr, sr, cfg)))
+    terms = []
+    for block in _windows(gt, pred, window_s, hop_s):
+        spec = _spectra(block, sr, cfg)
+        # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
+        # differently, and the phase of near-zero bins is discontinuous
+        diff = _spectra(block[0::2] - block[1::2], sr, cfg)
+        terms.append((
+            _stft_term(spec), _env_term(block), _mag_term(spec),
+            _snr_db(*block, snr_cap_db), phase_mean_abs(diff[0], diff[1]),
+        ))
+    stft_vals, env_vals, mag_vals, snr_vals, phase_vals = zip(*terms)
+    snr_vals = [v for v in snr_vals if v is not None]  # silent ground truth
     if not snr_vals:
         raise ValueError("ground truth is identically zero; SNR is undefined")
     return MetricsReport(
@@ -226,5 +220,5 @@ def evaluate(
         mag=float(np.mean(mag_vals)),
         snr_db=float(np.mean(snr_vals)),
         d_phase=float(np.mean(phase_vals)),
-        windows=len(starts),
+        windows=len(terms),
     )

@@ -11,6 +11,7 @@ speaker array. Every random draw is keyed off an explicit seed so a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
@@ -74,8 +75,7 @@ class SceneSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not 1 <= len(self.sources) <= MAX_SOURCES:
             raise ValueError(f"scenes hold 1..{MAX_SOURCES} sources, got {len(self.sources)}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        _check_duration(self.duration_s, self.sample_rate)
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -207,6 +207,13 @@ def synth_pseudo_pair(
     )
 
 
+def _check_duration(duration_s: float, sample_rate: int) -> None:
+    if not (0 < duration_s < math.inf) or round(duration_s * sample_rate) < 1:
+        raise ValueError(
+            f"duration_s must be positive and span at least one sample, got {duration_s}"
+        )
+
+
 def _check_sampling(
     pool: Sequence[str], ratios: Sequence[float], gain_range: tuple[float, float]
 ) -> np.ndarray:
@@ -299,6 +306,7 @@ class DatasetConfig:
         object.__setattr__(self, "pool", tuple(self.pool))
         if self.count < 0:
             raise ValueError(f"count must be non-negative, got {self.count}")
+        _check_duration(self.duration_s, self.sample_rate)
         _check_sampling(self.pool, self.ratios, self.gain_range)
 
 

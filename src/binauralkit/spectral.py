@@ -126,19 +126,22 @@ class ComplexMask:
 
 def stft(signal: MonoSignal, cfg: StftConfig = DEFAULT_STFT) -> Spectrogram:
     """Centered, reflect-padded, Hann-windowed real FFT per frame."""
-    if signal.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"signal rate {signal.sample_rate} != config rate {cfg.sample_rate}"
-        )
-    n = signal.n_samples
+    bins = _stft_bins(signal.samples, signal.sample_rate, cfg)
+    return Spectrogram(bins, cfg, n_samples=signal.n_samples)
+
+
+def _stft_bins(x: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:
+    """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames)."""
+    if sample_rate != cfg.sample_rate:
+        raise ValueError(f"signal rate {sample_rate} != config rate {cfg.sample_rate}")
+    n = x.shape[-1]
     pad = cfg.n_fft // 2
     if n < cfg.win_length or n < pad + 1:
         raise ValueError(f"signal of {n} samples is too short for this configuration")
-    padded = np.pad(signal.samples, pad, mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft)[:: cfg.hop]
-    frames = frames[: cfg.frame_count(n)]
-    bins = np.fft.rfft(frames * _padded_window(cfg), axis=1).T
-    return Spectrogram(bins, cfg, n_samples=n)
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
+    frames = frames[..., :: cfg.hop, :][..., : cfg.frame_count(n), :]
+    return np.swapaxes(np.fft.rfft(frames * _padded_window(cfg), axis=-1), -1, -2)
 
 
 def istft(spec: Spectrogram) -> MonoSignal:

@@ -137,6 +137,16 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_negative_hop_fails(self, tmp_path, capsys):
+        stereo = tmp_path / "gt.wav"
+        wavio.write_wav(stereo, SR, np.random.default_rng(63).normal(size=(SR, 2)) * 0.1)
+        assert main(["eval", "--gt", str(stereo), "--pred", str(stereo),
+                     "--hop-s", "-0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "hop_s must be positive and span at least one sample, got -0.1" in err
+
+
 class TestCompareDecoders:
     def test_writes_three_wavs_and_distances(self, tmp_path, tone):
         out = tmp_path / "cmp"
@@ -258,6 +268,17 @@ class TestDataset:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "clip pool must hold at least 3 clips, got 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("duration_s", [0, -0.5, 1e-5])  # 1e-5 s is 0.16 samples
+    def test_empty_duration_fails_before_work(self, tmp_path, capsys, duration_s):
+        pool = self.make_pool(tmp_path)
+        config = self.write_config(tmp_path, pool, duration_s=duration_s)
+        assert main(["dataset", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "duration_s must be positive" in err
+        assert f"span at least one sample, got {float(duration_s)}" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_pool_clip_fails_before_work(self, tmp_path, capsys):

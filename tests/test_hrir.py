@@ -181,6 +181,29 @@ class TestPackIO:
         with pytest.raises(ValueError):
             load_pack(tmp_path)
 
+    @pytest.mark.parametrize("key", ["name", "sample_rate", "entries"])
+    def test_missing_top_level_key_is_named(self, tmp_path, key):
+        index = {"name": "x", "sample_rate": 16000, "entries": []}
+        del index[key]
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError, match=f"index.json is missing required key '{key}'"):
+            load_pack(tmp_path)
+
+    @pytest.mark.parametrize("key", ["left", "right", "azimuth_deg", "elevation_deg"])
+    def test_missing_entry_key_is_named(self, tmp_path, key):
+        wavio.write_wav(tmp_path / "l.wav", 16000, np.array([1.0]))
+        wavio.write_wav(tmp_path / "r.wav", 16000, np.array([1.0]))
+        good = {"azimuth_deg": 0, "elevation_deg": 0, "left": "l.wav", "right": "r.wav"}
+        bad = dict(good, azimuth_deg=90)
+        del bad[key]
+        index = {"name": "gap", "sample_rate": 16000, "entries": [good, bad]}
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError) as info:
+            load_pack(tmp_path)
+        assert str(info.value) == (
+            f"{tmp_path / 'index.json'} entry 1 is missing required key '{key}'"
+        )
+
     def test_wav_rate_mismatch(self, tmp_path):
         wavio.write_wav(tmp_path / "l.wav", 44100, np.array([1.0]))
         wavio.write_wav(tmp_path / "r.wav", 44100, np.array([1.0]))

@@ -98,6 +98,15 @@ class TestHilbert:
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10080, 10081])
+    def test_rows_equal_one_dimensional_calls(self, n):
+        x = np.random.default_rng(n).normal(size=(4, n))
+        got = hilbert(x)
+        for row, expected in zip(got, (hilbert(r) for r in x)):
+            np.testing.assert_array_equal(row, expected)
+        reference = scipy.signal.hilbert(x, axis=-1)
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
     def test_real_part_is_the_input(self):
         x = np.random.default_rng(1).normal(size=1001)
         np.testing.assert_allclose(hilbert(x).real, x, atol=1e-12)

@@ -1,0 +1,266 @@
+"""The windowed-metrics engine against the per-metric window loops it replaced.
+
+The oracle below is the earlier `evaluate`, `stft_distance`, `env_distance`
+and `mag_distance`, each with its own window loop and one `stft` or
+`hilbert` call per channel. The engine transforms each window's four
+channel rows, and its two l-r rows, as one batch each, so the results must
+be bit-for-bit equal.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from binauralkit._kernels import phase_mean_abs
+from binauralkit.ambisonic import MonoSignal
+from binauralkit.binaural import BinauralSignal
+from binauralkit.metrics import (
+    MetricsReport,
+    _check_pair,
+    _snr_db,
+    env_distance,
+    evaluate,
+    hilbert,
+    mag_distance,
+    stft_distance,
+)
+from binauralkit.spectral import DEFAULT_STFT, StftConfig, stft
+
+SR = 16000
+SMALL_STFT = StftConfig(n_fft=256, win_length=256, hop=64)
+
+
+# --- oracle: the loops as they were before the engine ---------------------
+
+def _window_starts(n, sample_rate, window_s, hop_s):
+    if window_s is None:
+        return n, [0]
+    win = int(round(window_s * sample_rate))
+    hop = max(1, int(round(hop_s * sample_rate)))
+    if win <= 0 or n < win:
+        raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
+    return win, list(range(0, n - win + 1, hop))
+
+
+def _spec(x, sample_rate, cfg):
+    return stft(MonoSignal(x, sample_rate), cfg).bins
+
+
+def _l2(bins):
+    return float(np.sqrt(np.sum(np.abs(bins) ** 2)))
+
+
+def _envelope(x):
+    return np.abs(hilbert(x))
+
+
+def oracle_stft_distance(gt, pred, cfg=DEFAULT_STFT, window_s=0.63, hop_s=0.1):
+    _check_pair(gt, pred)
+    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
+    sr = gt.sample_rate
+    vals = [
+        _l2(_spec(gt.left[s : s + win], sr, cfg) - _spec(pred.left[s : s + win], sr, cfg))
+        + _l2(_spec(gt.right[s : s + win], sr, cfg) - _spec(pred.right[s : s + win], sr, cfg))
+        for s in starts
+    ]
+    return float(np.mean(vals))
+
+
+def oracle_env_distance(gt, pred, window_s=0.63, hop_s=0.1):
+    _check_pair(gt, pred)
+    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
+    vals = []
+    for s in starts:
+        d_l = _envelope(gt.left[s : s + win]) - _envelope(pred.left[s : s + win])
+        d_r = _envelope(gt.right[s : s + win]) - _envelope(pred.right[s : s + win])
+        vals.append(np.sqrt(np.sum(d_l**2)) + np.sqrt(np.sum(d_r**2)))
+    return float(np.mean(vals))
+
+
+def oracle_mag_distance(gt, pred, cfg=DEFAULT_STFT, window_s=0.63, hop_s=0.1):
+    _check_pair(gt, pred)
+    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
+    sr = gt.sample_rate
+    vals = []
+    for s in starts:
+        d_l = np.abs(_spec(gt.left[s : s + win], sr, cfg)) - np.abs(
+            _spec(pred.left[s : s + win], sr, cfg)
+        )
+        d_r = np.abs(_spec(gt.right[s : s + win], sr, cfg)) - np.abs(
+            _spec(pred.right[s : s + win], sr, cfg)
+        )
+        vals.append(_l2(d_l) + _l2(d_r))
+    return float(np.mean(vals))
+
+
+def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT, snr_cap_db=120.0):
+    _check_pair(gt, pred)
+    win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
+    sr = gt.sample_rate
+    stft_vals, env_vals, mag_vals, snr_vals, phase_vals = [], [], [], [], []
+    for s in starts:
+        gl, gr = gt.left[s : s + win], gt.right[s : s + win]
+        pl, pr = pred.left[s : s + win], pred.right[s : s + win]
+        sgl, sgr = _spec(gl, sr, cfg), _spec(gr, sr, cfg)
+        spl, spr = _spec(pl, sr, cfg), _spec(pr, sr, cfg)
+        stft_vals.append(_l2(sgl - spl) + _l2(sgr - spr))
+        mag_vals.append(_l2(np.abs(sgl) - np.abs(spl)) + _l2(np.abs(sgr) - np.abs(spr)))
+        env_vals.append(
+            np.sqrt(np.sum((_envelope(gl) - _envelope(pl)) ** 2))
+            + np.sqrt(np.sum((_envelope(gr) - _envelope(pr)) ** 2))
+        )
+        value = _snr_db(gl, gr, pl, pr, snr_cap_db)
+        if value is not None:
+            snr_vals.append(value)
+        phase_vals.append(phase_mean_abs(_spec(gl - gr, sr, cfg), _spec(pl - pr, sr, cfg)))
+    if not snr_vals:
+        raise ValueError("ground truth is identically zero; SNR is undefined")
+    return MetricsReport(
+        stft_dist=float(np.mean(stft_vals)),
+        env=float(np.mean(env_vals)),
+        mag=float(np.mean(mag_vals)),
+        snr_db=float(np.mean(snr_vals)),
+        d_phase=float(np.mean(phase_vals)),
+        windows=len(starts),
+    )
+
+
+# --- equivalence -----------------------------------------------------------
+
+def outcome(fn, *args, **kwargs):
+    """The value, or the ValueError message, so that both sides can raise."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def pairs(draw):
+    """A (gt, pred, cfg, window_s, hop_s) case: lengths at least one window,
+    window hops off the 160-sample STFT grid, channels that may be equal
+    (zero l-r spectra) and a ground truth whose first window may be silent."""
+    cfg = draw(st.sampled_from([DEFAULT_STFT, SMALL_STFT]))
+    shortest = max(cfg.win_length, cfg.n_fft // 2 + 1)
+    if draw(st.booleans()):
+        window_s, hop_s = None, 0.1
+        n = draw(st.integers(shortest, 12000))
+    else:
+        win = draw(st.integers(shortest, 10080))
+        hop = draw(st.integers(1, 4000).filter(lambda h: h % DEFAULT_STFT.hop != 0))
+        window_s, hop_s = win / SR, hop / SR
+        n = win + draw(st.integers(0, 4 * hop))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    gt = rng.normal(size=(2, n)) * scale
+    kind = draw(st.sampled_from(["independent", "perturbed", "identical"]))
+    if kind == "independent":
+        pred = rng.normal(size=(2, n)) * scale
+    elif kind == "perturbed":
+        pred = gt + 0.1 * scale * rng.normal(size=(2, n))
+    else:
+        pred = gt.copy()
+    equal_lr = draw(st.sampled_from(["none", "gt", "pred", "both"]))
+    if equal_lr in ("gt", "both"):
+        gt[1] = gt[0]
+    if equal_lr in ("pred", "both"):
+        pred[1] = pred[0]
+    if draw(st.booleans()):
+        silent = n if window_s is None else int(round(window_s * SR))
+        gt[:, :silent] = 0.0
+    return (
+        BinauralSignal(gt[0], gt[1], SR),
+        BinauralSignal(pred[0], pred[1], SR),
+        cfg,
+        window_s,
+        hop_s,
+    )
+
+
+def noise_case(seed, n, window_s, hop_s):
+    rng = np.random.default_rng(seed)
+    gt = BinauralSignal(rng.normal(size=n), rng.normal(size=n), SR)
+    pred = BinauralSignal(rng.normal(size=n), rng.normal(size=n), SR)
+    return gt, pred, DEFAULT_STFT, window_s, hop_s
+
+
+class TestEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs())
+    @example(noise_case(1, 2 * SR, 0.63, 0.1))
+    @example(noise_case(2, 2 * SR, 0.63, 0.0371))
+    @example(noise_case(3, 2 * SR, 0.63, 0.25))
+    @example(noise_case(4, SR, None, 0.1))
+    def test_bitwise_equal_to_the_loops(self, case):
+        gt, pred, cfg, window_s, hop_s = case
+        windows = dict(window_s=window_s, hop_s=hop_s)
+        report = outcome(evaluate, gt, pred, cfg=cfg, **windows)
+        standalone = (
+            stft_distance(gt, pred, cfg, **windows),
+            env_distance(gt, pred, **windows),
+            mag_distance(gt, pred, cfg, **windows),
+        )
+        assert standalone == (
+            oracle_stft_distance(gt, pred, cfg, **windows),
+            oracle_env_distance(gt, pred, **windows),
+            oracle_mag_distance(gt, pred, cfg, **windows),
+        )
+        assert report == outcome(oracle_evaluate, gt, pred, cfg=cfg, **windows)
+        if isinstance(report, MetricsReport):
+            # the standalone functions are the report's own terms
+            assert standalone == (report.stft_dist, report.env, report.mag)
+
+
+# --- behaviour the engine keeps or adds ----------------------------------
+
+class TestChecks:
+    @pytest.mark.parametrize("metric", [evaluate, stft_distance, mag_distance])
+    def test_overflowing_spectra_rejected(self, metric):
+        # finite samples whose spectra overflow to inf
+        x = np.full(SR, 1e308)
+        x[::2] = -1e308
+        gt = BinauralSignal(x, x, SR)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite bins"):
+            metric(gt, gt)
+
+    def test_env_distance_at_any_sample_rate(self):
+        # env_distance takes no StftConfig, so no STFT sample rate applies
+        rng = np.random.default_rng(5)
+        sr = 8000
+        gt = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
+        pred = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
+        assert env_distance(gt, gt) == 0.0
+        assert env_distance(gt, pred) == oracle_env_distance(gt, pred)
+
+    def test_stft_metrics_reject_a_foreign_sample_rate(self):
+        x = np.random.default_rng(6).normal(size=8000)
+        gt = BinauralSignal(x, x, 8000)
+        with pytest.raises(ValueError, match="config rate"):
+            stft_distance(gt, gt)
+
+    @pytest.mark.parametrize(
+        "window_s, hop_s, name, value",
+        [
+            (0.63, -0.1, "hop_s", "-0.1"),
+            (0.63, 0.0, "hop_s", "0.0"),
+            (0.63, 1e-5, "hop_s", "1e-05"),
+            (0.63, math.inf, "hop_s", "inf"),
+            (0.0, 0.1, "window_s", "0.0"),
+            (-0.63, 0.1, "window_s", "-0.63"),
+            (1e-5, 0.1, "window_s", "1e-05"),
+            (math.nan, 0.1, "window_s", "nan"),
+        ],
+    )
+    @pytest.mark.parametrize("metric", [evaluate, stft_distance, env_distance, mag_distance])
+    def test_window_parameters_rejected(self, metric, window_s, hop_s, name, value):
+        rng = np.random.default_rng(7)
+        gt = BinauralSignal(rng.normal(size=SR), rng.normal(size=SR), SR)
+        with pytest.raises(ValueError, match=f"{name} must be positive.*got {value}$"):
+            metric(gt, gt, window_s=window_s, hop_s=hop_s)
+
+    def test_whole_signal_ignores_hop(self):
+        gt, pred, *_ = noise_case(8, 4000, None, 0.1)
+        assert evaluate(gt, pred, window_s=None, hop_s=-1.0).windows == 1

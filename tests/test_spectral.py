@@ -9,6 +9,7 @@ from binauralkit.spectral import (
     Spectrogram,
     StftConfig,
     _padded_window,
+    _stft_bins,
     apply_mask,
     istft,
     loss_separation,
@@ -98,6 +99,17 @@ class TestStft:
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ValueError):
             stft(MonoSignal(np.ones(4000), 44100))
+
+    @pytest.mark.parametrize(
+        "cfg", [DEFAULT_STFT, StftConfig(256, 200, 50), StftConfig(64, 33, 7)]
+    )
+    @pytest.mark.parametrize("shape", [(4, 10080), (2, 3, 4001), (1, 400)])
+    def test_batched_core_equals_stft_per_row(self, cfg, shape):
+        x = np.random.default_rng(shape[-1]).normal(size=shape)
+        bins = _stft_bins(x, SR, cfg)
+        assert bins.shape == (*shape[:-1], cfg.n_bins, cfg.frame_count(shape[-1]))
+        for idx in np.ndindex(*shape[:-1]):
+            np.testing.assert_array_equal(bins[idx], stft(mono(x[idx]), cfg).bins)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)

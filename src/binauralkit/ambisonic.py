@@ -18,6 +18,14 @@ from .spherical import Direction
 DEFAULT_SAMPLE_RATE = 16000
 
 
+def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:
+    """`seconds` in whole samples; a ValueError naming `name` if that is under 1."""
+    n = round(seconds * sample_rate) if 0 < seconds < math.inf else 0
+    if n < 1:
+        raise ValueError(f"{name} must be positive and span at least one sample, got {seconds}")
+    return int(n)
+
+
 def _as_channel(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
@@ -111,7 +119,5 @@ def write_bformat_wav(path, b: BFormat, fmt: str = "float32") -> None:
 
 
 def read_bformat_wav(path) -> BFormat:
-    sample_rate, data = wavio.read_wav(path)
-    if data.ndim != 2 or data.shape[1] != 4:
-        raise ValueError(f"expected a 4-channel WAV, got shape {data.shape}")
+    sample_rate, data = wavio.read_wav(path, channels=4)
     return BFormat(data[:, 0], data[:, 1], data[:, 2], data[:, 3], sample_rate=sample_rate)

@@ -194,7 +194,5 @@ def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:
 
 
 def read_binaural_wav(path) -> BinauralSignal:
-    sample_rate, data = wavio.read_wav(path)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"expected a stereo WAV, got shape {data.shape}")
+    sample_rate, data = wavio.read_wav(path, channels=2)
     return BinauralSignal(data[:, 0], data[:, 1], sample_rate)

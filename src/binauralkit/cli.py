@@ -19,29 +19,22 @@ from .binaural import (
     BinauralSignal,
     decode_wy,
     default_speaker_array,
-    make_speaker_array,
     read_binaural_wav,
     render_ambisonic_hrir,
     render_direct_hrir,
     write_binaural_wav,
 )
-from .hrir import load_pack, save_pack, synth_pack
+from .hrir import load_or_default_pack, load_pack, save_pack, synth_pack
 from .metrics import DEFAULT_HOP_S, DEFAULT_WINDOW_S, evaluate
-from .scenegen import DatasetConfig, WavStore, gen_dataset
+from .scenegen import gen_dataset, load_dataset_config
 from .spherical import Direction
-from .visualmap import DEFAULT_FOV, FovConfig, pixel_to_direction
+from .visualmap import DEFAULT_FOV, pixel_to_direction
 
 DECODERS = ("wy", "hrir", "ambisonic-hrir")
-DATASET_KEYS = frozenset({
-    "master_seed", "count", "pool", "output_dir", "ratios", "pack", "array",
-    "sample_rate", "duration_s", "gain_range", "fov",
-})
 
 
 def _read_mono(path) -> MonoSignal:
-    sample_rate, data = wavio.read_wav(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path} is not a mono WAV")
+    sample_rate, data = wavio.read_wav(path, channels=1)
     return MonoSignal(data, sample_rate)
 
 
@@ -61,21 +54,6 @@ def _resolve_direction(args) -> Direction:
     return Direction.from_degrees(args.azimuth_deg, args.elevation_deg or 0.0)
 
 
-def _parse_fov(raw, config_path) -> FovConfig:
-    keys = set(DEFAULT_FOV.to_dict())
-    if not isinstance(raw, dict) or set(raw) != keys:
-        raise ValueError(
-            f"fov in {config_path} must have exactly the keys {', '.join(sorted(keys))}"
-        )
-    return FovConfig.from_dict({k: float(v) for k, v in raw.items()})
-
-
-def _load_or_default_pack(path, sample_rate: int):
-    if path is not None:
-        return load_pack(path)
-    return synth_pack(sample_rate=sample_rate)
-
-
 def _render_with(decoder: str, source: MonoSignal, direction: Direction, pack) -> BinauralSignal:
     if decoder == "wy":
         return decode_wy(encode(source, direction))
@@ -93,7 +71,7 @@ def cmd_render(args) -> int:
     direction = _resolve_direction(args)
     pack = None
     if args.decoder in ("hrir", "ambisonic-hrir"):
-        pack = _load_or_default_pack(args.hrir_pack, source.sample_rate)
+        pack = load_or_default_pack(args.hrir_pack, source.sample_rate)
     print(
         f"direction: azimuth {math.degrees(direction.azimuth):+.3f} deg, "
         f"elevation {math.degrees(direction.elevation):+.3f} deg"
@@ -105,55 +83,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    config_path = Path(args.config)
-    raw = json.loads(config_path.read_text())
-    unknown = sorted(set(raw) - DATASET_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys in {config_path}: {', '.join(unknown)}")
-    root = config_path.parent
-    pool = [str(p) for p in raw["pool"]]
-    store = WavStore(root)
-    for ref in pool:
-        p = Path(ref)
-        if not (p if p.is_absolute() else root / p).is_file():
-            raise FileNotFoundError(f"pool clip not found: {ref}")
-    pack_path = raw.get("pack")
-    if pack_path is not None:
-        p = Path(pack_path)
-        pack = load_pack(p if p.is_absolute() else root / p)
-    else:
-        pack = synth_pack(sample_rate=int(raw.get("sample_rate", 16000)))
-    if raw.get("array") is not None:
-        arr = make_speaker_array(
-            [Direction.from_degrees(az, el) for az, el in raw["array"]]
-        )
-    else:
-        arr = default_speaker_array()
-    out_dir = Path(raw["output_dir"])
-    if not out_dir.is_absolute():
-        out_dir = root / out_dir
-    config = DatasetConfig(
-        master_seed=int(raw["master_seed"]),
-        count=int(raw["count"]),
-        pool=tuple(pool),
-        output_dir=str(out_dir),
-        ratios=tuple(raw.get("ratios", (0.4, 0.5, 0.1))),
-        sample_rate=int(raw.get("sample_rate", 16000)),
-        duration_s=float(raw.get("duration_s", 0.63)),
-        gain_range=tuple(raw.get("gain_range", (0.5, 1.0))),
-        fov=_parse_fov(raw["fov"], config_path) if raw.get("fov") is not None else DEFAULT_FOV,
-    )
-    try:
-        manifest = gen_dataset(config, store, pack, arr)
-    except RuntimeError as exc:
-        (out_dir / "FAILED").write_text(f"{exc}\n")
-        raise
-    counts = {1: 0, 2: 0, 3: 0}
-    for item in manifest:
-        meta = json.loads((out_dir / item["scene_json"]).read_text())
-        counts[len(meta["sources"])] += 1
+    config, store, pack, arr = load_dataset_config(args.config)
+    manifest = gen_dataset(config, store, pack, arr)
+    out_dir = Path(config.output_dir)
+    ks = [len(json.loads((out_dir / m["scene_json"]).read_text())["sources"]) for m in manifest]
     print(f"wrote {len(manifest)} scenes to {out_dir}")
-    print(f"sources per scene: K=1: {counts[1]}, K=2: {counts[2]}, K=3: {counts[3]}")
+    print(f"sources per scene: K=1: {ks.count(1)}, K=2: {ks.count(2)}, K=3: {ks.count(3)}")
     return 0
 
 
@@ -175,7 +110,7 @@ def cmd_eval(args) -> int:
 def cmd_compare_decoders(args) -> int:
     source = _read_mono(args.in_wav)
     direction = _resolve_direction(args)
-    pack = _load_or_default_pack(args.hrir_pack, source.sample_rate)
+    pack = load_or_default_pack(args.hrir_pack, source.sample_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rendered = {}

@@ -25,6 +25,7 @@ from . import wavio
 from .spherical import Direction
 
 SPEED_OF_SOUND = 343.0  # m/s
+CONTRA_LOWPASS_HZ = 6000.0  # far-ear low-pass corner of the synthetic pack
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,7 @@ def synth_pack(
     head_radius: float = 0.0875,
     ild_db: float = 6.0,
     sample_rate: int = 16000,
-    contra_lowpass_hz: float | None = 6000.0,
+    contra_lowpass_hz: float | None = CONTRA_LOWPASS_HZ,
     name: str = "synthetic",
 ) -> HrirPack:
     """Generate a deterministic horizontal-ring pack of simplified HRIRs.
@@ -179,7 +180,7 @@ def save_pack(pack: HrirPack, path) -> None:
 _ENTRY_KEYS = ("left", "right", "azimuth_deg", "elevation_deg")
 
 
-def _require_keys(obj, keys, where) -> None:
+def require_keys(obj, keys, where) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     for key in keys:
@@ -191,14 +192,14 @@ def load_pack(path) -> HrirPack:
     """Load and validate a pack directory written in the index.json format."""
     root = Path(path)
     index_path = root / "index.json"
-    if not index_path.is_file():
-        raise FileNotFoundError(f"no index.json under {root}")
     try:
         index = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed index.json under {root}: {exc}") from exc
-    _require_keys(index, ("name", "sample_rate", "entries"), index_path)
+    require_keys(index, ("name", "sample_rate", "entries"), index_path)
     name, raw_entries = index["name"], index["entries"]
+    if not isinstance(raw_entries, list):
+        raise ValueError(f"{index_path}: entries must be a list, got {raw_entries!r}")
     try:
         sample_rate = int(index["sample_rate"])
     except (TypeError, ValueError) as exc:
@@ -206,13 +207,11 @@ def load_pack(path) -> HrirPack:
 
     entries = []
     for i, raw in enumerate(raw_entries):
-        _require_keys(raw, _ENTRY_KEYS, f"{index_path} entry {i}")
+        require_keys(raw, _ENTRY_KEYS, f"{index_path} entry {i}")
         direction = Direction.from_degrees(raw["azimuth_deg"], raw["elevation_deg"])
         firs = []
         for ear in ("left", "right"):
-            rate, taps = wavio.read_wav(root / raw[ear])
-            if taps.ndim != 1:
-                raise ValueError(f"{raw[ear]} is not mono")
+            rate, taps = wavio.read_wav(root / raw[ear], channels=1)
             if rate != sample_rate:
                 raise ValueError(
                     f"{raw[ear]} has sample rate {rate}, pack declares {sample_rate}"
@@ -220,3 +219,11 @@ def load_pack(path) -> HrirPack:
             firs.append(taps)
         entries.append(HrirEntry(direction, firs[0], firs[1], sample_rate))
     return HrirPack(tuple(entries), sample_rate, name=name)
+
+
+def load_or_default_pack(path, sample_rate: int) -> HrirPack:
+    """The pack saved at `path`, or if it is None the synthetic pack at `sample_rate`."""
+    if path is None and sample_rate <= 2 * CONTRA_LOWPASS_HZ:  # its low-pass must be < Nyquist
+        raise ValueError(f"the synthetic HRIR pack needs a sample rate above "
+                         f"{2 * CONTRA_LOWPASS_HZ:g} Hz, got {sample_rate}: give an HRIR pack")
+    return synth_pack(sample_rate=sample_rate) if path is None else load_pack(path)

@@ -11,12 +11,12 @@ phase of an exactly zero bin counts as 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import phase_mean_abs
+from .ambisonic import seconds_to_samples
 from .binaural import BinauralSignal
 from .spectral import DEFAULT_STFT, Spectrogram, StftConfig, _stft_bins
 
@@ -57,12 +57,6 @@ def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
         raise ValueError(f"sample rates differ: {gt.sample_rate} vs {pred.sample_rate}")
 
 
-def _samples(name: str, seconds: float, sample_rate: int) -> int:
-    if not (0 < seconds < math.inf) or round(seconds * sample_rate) < 1:
-        raise ValueError(f"{name} must be positive and span at least one sample, got {seconds}")
-    return int(round(seconds * sample_rate))
-
-
 def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float):
     """Check the pair and the window parameters, then return an iterator over
     the windows, each a (4, win) block of gt l, gt r, pred l and pred r."""
@@ -71,8 +65,8 @@ def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, h
     if window_s is None:
         win, hop = n, 1  # one window
     else:
-        win = _samples("window_s", window_s, gt.sample_rate)
-        hop = _samples("hop_s", hop_s, gt.sample_rate)
+        win = seconds_to_samples(window_s, gt.sample_rate, "window_s")
+        hop = seconds_to_samples(hop_s, gt.sample_rate, "hop_s")
         if n < win:
             raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
     rows = (gt.left, gt.right, pred.left, pred.right)
@@ -102,8 +96,10 @@ def _mag_term(spec: np.ndarray) -> float:
 
 
 def _env_term(block: np.ndarray) -> float:
-    # envelope: magnitude of the analytic signal
-    return _stft_term(np.abs(hilbert(block)))
+    envelope = np.abs(hilbert(block))  # magnitude of the analytic signal
+    if not np.all(np.isfinite(envelope)):
+        raise ValueError("envelope contains non-finite values")
+    return _stft_term(envelope)
 
 
 def hilbert(x: np.ndarray) -> np.ndarray:

@@ -11,22 +11,24 @@ speaker array. Every random draw is keyed off an explicit seed so a
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import wavio
-from .ambisonic import MonoSignal, encode
+from .ambisonic import MonoSignal, encode, seconds_to_samples
 from .binaural import (
     BinauralSignal,
     SpeakerArray,
+    default_speaker_array,
+    make_speaker_array,
     render_ambisonic_hrir,
     write_binaural_wav,
 )
-from .hrir import HrirPack
+from .hrir import HrirPack, load_or_default_pack, require_keys
 from .spherical import Direction
 from .visualmap import DEFAULT_FOV, FovConfig, direction_to_pixel, pixel_to_direction
 
@@ -75,7 +77,7 @@ class SceneSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not 1 <= len(self.sources) <= MAX_SOURCES:
             raise ValueError(f"scenes hold 1..{MAX_SOURCES} sources, got {len(self.sources)}")
-        _check_duration(self.duration_s, self.sample_rate)
+        seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
         if self.seed < 0 or self.seed >= 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
@@ -118,17 +120,10 @@ class WavStore:
     """Resolves clip references as WAV paths, optionally under a root directory."""
 
     def __init__(self, root=None):
-        self.root = Path(root) if root is not None else None
+        self.root = Path(root or "")
 
     def __call__(self, ref: str) -> MonoSignal:
-        path = Path(ref)
-        if self.root is not None and not path.is_absolute():
-            path = self.root / path
-        if not path.is_file():
-            raise FileNotFoundError(f"clip not found: {path}")
-        sample_rate, data = wavio.read_wav(path)
-        if data.ndim != 1:
-            raise ValueError(f"clip {path} is not mono")
+        sample_rate, data = wavio.read_wav(self.root / ref, channels=1)
         return MonoSignal(data, sample_rate)
 
 
@@ -157,7 +152,7 @@ def synth_pseudo_pair(
     normalized, scaled by its gain, encoded at its mapped direction and
     rendered through the virtual array; per-ear sums run over sources.
     """
-    n = int(round(spec.duration_s * spec.sample_rate))
+    n = seconds_to_samples(spec.duration_s, spec.sample_rate, "duration_s")
     left = np.zeros(n)
     right = np.zeros(n)
     mono_mix = np.zeros(n)
@@ -207,13 +202,6 @@ def synth_pseudo_pair(
     )
 
 
-def _check_duration(duration_s: float, sample_rate: int) -> None:
-    if not (0 < duration_s < math.inf) or round(duration_s * sample_rate) < 1:
-        raise ValueError(
-            f"duration_s must be positive and span at least one sample, got {duration_s}"
-        )
-
-
 def _check_sampling(
     pool: Sequence[str], ratios: Sequence[float], gain_range: tuple[float, float]
 ) -> np.ndarray:
@@ -223,9 +211,8 @@ def _check_sampling(
     ratios = np.asarray(ratios, dtype=np.float64)
     if ratios.shape != (3,) or np.any(ratios < 0) or abs(ratios.sum() - 1.0) > 1e-9:
         raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
-    lo, hi = gain_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"invalid gain range {gain_range}")
+    if len(gain_range) != 2 or not 0 < gain_range[0] <= gain_range[1]:
+        raise ValueError(f"gain_range must be two values 0 < lo <= hi, got {gain_range}")
     return ratios
 
 
@@ -304,10 +291,73 @@ class DatasetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pool", tuple(self.pool))
-        if self.count < 0:
-            raise ValueError(f"count must be non-negative, got {self.count}")
-        _check_duration(self.duration_s, self.sample_rate)
+        if min(self.master_seed, self.count) < 0:
+            raise ValueError(f"master_seed {self.master_seed} and count {self.count} must be >= 0")
+        seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
         _check_sampling(self.pool, self.ratios, self.gain_range)
+
+
+def _from_json(value, hint):
+    """The JSON value of a DatasetConfig field annotated `hint`."""
+    if hint is FovConfig:
+        return FovConfig.from_dict(value)
+    is_list = get_origin(hint) is tuple
+    if is_list and type(value) is list:
+        return tuple(_from_json(v, get_args(hint)[0]) for v in value)
+    if type(value) is hint or type(value) is int and hint is float:
+        return hint(value)
+    raise ValueError(f"expected {'a list' if is_list else hint.__name__}, got {value!r}")
+
+
+@contextmanager
+def _naming(where):
+    """Re-raise a config error as a ValueError whose message starts with `where`."""
+    try:
+        yield
+    except (ValueError, TypeError, OSError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, SpeakerArray]:
+    """Read a dataset config JSON into the arguments of `gen_dataset`.
+
+    The keys are `DatasetConfig`'s fields, `pack` (an HRIR pack folder) and
+    `array` (speaker [azimuth, elevation] pairs in degrees); an absent or null
+    optional key takes the default. Relative paths resolve against the config's
+    folder. Errors name the config path and the key at fault.
+    """
+    path = Path(path)
+    with _naming(path):
+        raw = json.loads(path.read_text())
+    hints = get_type_hints(DatasetConfig)
+    required = [f.name for f in fields(DatasetConfig)
+                if f.default is MISSING and f.default_factory is MISSING]
+    require_keys(raw, required, path)
+    unknown = sorted(set(raw) - set(hints) - {"pack", "array"})
+    if unknown:
+        raise ValueError(f"unknown keys in {path}: {', '.join(unknown)}")
+    root = path.parent
+    values = {}
+    for name, hint in hints.items():
+        if name in required or raw.get(name) is not None:
+            with _naming(f"{name} in {path}"):
+                values[name] = _from_json(raw[name], hint)
+    values["output_dir"] = str(root / values["output_dir"])
+    with _naming(path):
+        config = DatasetConfig(**values)
+    with _naming(f"pool in {path}"):
+        for ref in config.pool:  # kept as written; the returned store resolves them
+            if not (root / ref).is_file():
+                raise FileNotFoundError(f"clip not found: {root / ref}")
+    with _naming(f"pack in {path}"):
+        pack_dir = None if raw.get("pack") is None else root / _from_json(raw["pack"], str)
+        pack = load_or_default_pack(pack_dir, config.sample_rate)
+    with _naming(f"array in {path}"):
+        speakers = raw.get("array")
+        arr = default_speaker_array() if speakers is None else make_speaker_array(
+            [Direction.from_degrees(az, el) for az, el in speakers]
+        )
+    return config, WavStore(root), pack, arr
 
 
 def gen_dataset(
@@ -317,7 +367,7 @@ def gen_dataset(
 
     Every scene is derived from (master_seed, index) alone, so any
     synthesis scheduling produces the same files. The manifest is written
-    only after all scenes complete.
+    only after all scenes complete; a failing scene writes FAILED instead.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -335,6 +385,7 @@ def gen_dataset(
             )
             pair = synth_pseudo_pair(spec, store, pack, arr)
         except Exception as exc:
+            (out / "FAILED").write_text(f"scene {i} failed: {exc}\n")
             raise RuntimeError(f"scene {i} failed: {exc}") from exc
         stem = f"scene_{i:05d}"
         scene_json = f"{stem}.json"

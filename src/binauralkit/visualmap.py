@@ -11,7 +11,7 @@ image is what the listener sees, image-left corresponds to positive
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .spherical import Direction
 
@@ -38,15 +38,15 @@ class FovConfig:
             raise ValueError(f"vert_extent must be positive, got {self.vert_extent}")
 
     def to_dict(self) -> dict:
-        return {
-            "theta_v0": self.theta_v0,
-            "aspect_hw": self.aspect_hw,
-            "vert_extent": self.vert_extent,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FovConfig":
-        return cls(d["theta_v0"], d["aspect_hw"], d["vert_extent"])
+        """Parse the `to_dict` form, which must hold exactly its three keys."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(d, dict) or set(d) != set(keys):
+            raise ValueError(f"expected exactly the keys {', '.join(sorted(keys))}, got {d!r}")
+        return cls(**{k: float(v) for k, v in d.items()})
 
 
 DEFAULT_FOV = FovConfig()

@@ -10,13 +10,19 @@ import numpy as np
 from scipy.io import wavfile
 
 
-def read_wav(path) -> tuple[int, np.ndarray]:
+def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
     """Read a WAV file as (sample_rate, float64 data).
 
     Mono data comes back as shape (n,), multi-channel as (n, channels).
-    Integer PCM is rescaled to [-1, 1); float data passes through.
+    Integer PCM is rescaled to [-1, 1); float data passes through. Given
+    `channels`, a file with another channel count raises a ValueError
+    that names the file.
     """
     sample_rate, data = wavfile.read(path)
+    got = 1 if data.ndim == 1 else data.shape[1]
+    if channels is not None and got != channels:
+        kind = {1: "mono", 2: "stereo"}.get(channels, f"{channels}-channel")
+        raise ValueError(f"{path} is not a {kind} WAV: it has {got} channel(s)")
     if data.dtype == np.int16:
         data = data / 32768.0
     elif data.dtype == np.int32:

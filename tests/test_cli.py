@@ -10,7 +10,11 @@ import pytest
 
 import binauralkit
 from binauralkit import wavio
+from binauralkit.binaural import default_speaker_array
 from binauralkit.cli import main
+from binauralkit.scenegen import DatasetConfig, load_dataset_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SR = 16000
 
@@ -82,6 +86,18 @@ class TestRender:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decoder", ["hrir", "ambisonic-hrir"])
+    def test_low_rate_without_pack_fails(self, tmp_path, capsys, decoder):
+        tone = write_tone(tmp_path / "tone8k.wav", sr=8000)
+        out = tmp_path / "x.wav"
+        code = main(["render", "--in", str(tone), "--out", str(out),
+                     "--decoder", decoder, "--azimuth-deg", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "above 12000 Hz, got 8000: give an HRIR pack" in err
+        assert not out.exists()
+
 
 class TestHrirSynth:
     def test_writes_valid_pack(self, tmp_path, capsys):
@@ -136,6 +152,14 @@ class TestEval:
         assert main(["eval", "--gt", str(a), "--pred", str(b)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_mono_input_names_the_file(self, tmp_path, capsys):
+        mono, stereo = tmp_path / "mono.wav", tmp_path / "st.wav"
+        wavio.write_wav(mono, SR, np.zeros(SR))
+        wavio.write_wav(stereo, SR, np.zeros((SR, 2)))
+        assert main(["eval", "--gt", str(mono), "--pred", str(stereo)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{mono} is not a stereo WAV: it has 1 channel(s)" in err
 
     def test_negative_hop_fails(self, tmp_path, capsys):
         stereo = tmp_path / "gt.wav"
@@ -286,6 +310,90 @@ class TestDataset:
         assert main(["dataset", "--config", str(config)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def assert_fails_before_work(self, tmp_path, capsys, *needles):
+        config = tmp_path / "config.json"
+        assert main(["dataset", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for needle in (str(config), *needles):
+            assert needle in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["master_seed", "count", "pool", "output_dir"])
+    def test_missing_required_key_is_named(self, tmp_path, capsys, key):
+        config = self.write_config(tmp_path, self.make_pool(tmp_path))
+        raw = json.loads(config.read_text())
+        del raw[key]
+        config.write_text(json.dumps(raw))
+        self.assert_fails_before_work(tmp_path, capsys, f"missing required key '{key}'")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("pool", "clip0.wav"),  # a string, not a list of refs
+            ("ratios", 5),
+            ("gain_range", [1.0]),
+            ("count", 2.5),
+            ("count", True),
+            ("master_seed", -1),
+            ("master_seed", None),
+            ("duration_s", "0.05"),
+            ("array", [[0, 0], [45]]),
+            ("array", 5),
+            ("pack", 5),
+            ("fov", [0.5, 0.5, 0.5]),
+        ],
+    )
+    def test_bad_value_is_named(self, tmp_path, capsys, key, value):
+        overrides = {key: value}
+        pool = overrides.pop("pool", self.make_pool(tmp_path))
+        self.write_config(tmp_path, pool, **overrides)
+        self.assert_fails_before_work(tmp_path, capsys, key)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "7", "{not json"])
+    def test_config_that_is_not_an_object_fails(self, tmp_path, capsys, text):
+        (tmp_path / "config.json").write_text(text)
+        self.assert_fails_before_work(tmp_path, capsys)
+
+    def test_low_rate_without_pack_fails_before_work(self, tmp_path, capsys):
+        self.write_config(tmp_path, self.make_pool(tmp_path), sample_rate=8000)
+        self.assert_fails_before_work(
+            tmp_path, capsys, "pack in", "above 12000 Hz, got 8000: give an HRIR pack"
+        )
+
+    def test_null_optional_keys_take_the_defaults(self, tmp_path):
+        pool = self.make_pool(tmp_path)
+        nulls = dict.fromkeys(
+            ["ratios", "pack", "array", "sample_rate", "duration_s", "gain_range", "fov"]
+        )
+        config, _, pack, arr = load_dataset_config(self.write_config(tmp_path, pool, **nulls))
+        assert config == DatasetConfig(7, 10, tuple(pool), str(tmp_path / "out"))
+        assert pack.name == "synthetic" and pack.sample_rate == SR
+        assert arr.directions == default_speaker_array().directions
+
+    def test_readme_example_loads_with_the_defaults(self, tmp_path):
+        # the JSON block under "Dataset config" in the README
+        text = README.read_text().split("### Dataset config", 1)[1]
+        example = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+        assert set(example) == {
+            "master_seed", "count", "pool", "output_dir", "ratios", "pack", "array",
+            "sample_rate", "duration_s", "gain_range", "fov",
+        }
+        for ref in example["pool"]:
+            (tmp_path / ref).parent.mkdir(exist_ok=True)
+            wavio.write_wav(tmp_path / ref, SR, np.ones(10))
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(example))
+        config, store, pack, arr = load_dataset_config(path)
+        # every value the README shows is DatasetConfig's default
+        assert config == DatasetConfig(
+            master_seed=7, count=100, pool=tuple(example["pool"]),
+            output_dir=str(tmp_path / "out"),
+        )
+        assert store(example["pool"][0]).n_samples == 10  # refs resolve beside the config
+        assert pack.name == "synthetic"
+        assert arr.directions == default_speaker_array().directions
 
 
 def test_cli_import_leaves_out_scipy_signal_and_numba():

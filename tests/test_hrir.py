@@ -9,6 +9,7 @@ from binauralkit.hrir import (
     HrirEntry,
     HrirPack,
     great_circle,
+    load_or_default_pack,
     load_pack,
     nearest,
     save_pack,
@@ -204,6 +205,23 @@ class TestPackIO:
             f"{tmp_path / 'index.json'} entry 1 is missing required key '{key}'"
         )
 
+    def test_entries_not_a_list_is_named(self, tmp_path):
+        index = {"name": "x", "sample_rate": 16000, "entries": 5}
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError) as info:
+            load_pack(tmp_path)
+        assert str(info.value) == f"{tmp_path / 'index.json'}: entries must be a list, got 5"
+
+    def test_stereo_fir_names_the_file(self, tmp_path):
+        wavio.write_wav(tmp_path / "l.wav", 16000, np.ones((3, 2)))
+        wavio.write_wav(tmp_path / "r.wav", 16000, np.array([1.0]))
+        e = {"azimuth_deg": 0, "elevation_deg": 0, "left": "l.wav", "right": "r.wav"}
+        (tmp_path / "index.json").write_text(
+            json.dumps({"name": "st", "sample_rate": 16000, "entries": [e]})
+        )
+        with pytest.raises(ValueError, match=f"{tmp_path / 'l.wav'} is not a mono WAV"):
+            load_pack(tmp_path)
+
     def test_wav_rate_mismatch(self, tmp_path):
         wavio.write_wav(tmp_path / "l.wav", 44100, np.array([1.0]))
         wavio.write_wav(tmp_path / "r.wav", 44100, np.array([1.0]))
@@ -226,3 +244,21 @@ class TestPackIO:
         (tmp_path / "index.json").write_text(json.dumps(index))
         with pytest.raises(ValueError, match="duplicate"):
             load_pack(tmp_path)
+
+
+class TestDefaultPack:
+    @pytest.mark.parametrize("sample_rate", [8000, 11025, 12000])
+    def test_synthetic_fallback_needs_a_rate_above_12_khz(self, sample_rate):
+        with pytest.raises(ValueError, match=f"above 12000 Hz, got {sample_rate}: give an HRIR pack"):
+            load_or_default_pack(None, sample_rate)
+
+    def test_fallback_is_the_default_synthetic_pack(self):
+        pack, ref = load_or_default_pack(None, 12001), synth_pack(sample_rate=12001)
+        assert [e.direction for e in pack.entries] == [e.direction for e in ref.entries]
+        for a, b in zip(pack.entries, ref.entries):
+            np.testing.assert_array_equal(a.left_fir, b.left_fir)
+            np.testing.assert_array_equal(a.right_fir, b.right_fir)
+
+    def test_saved_pack_needs_no_rate_rule(self, tmp_path):
+        save_pack(synth_pack(n_azimuths=4, sample_rate=8000, contra_lowpass_hz=None), tmp_path)
+        assert load_or_default_pack(tmp_path, 8000).sample_rate == 8000

@@ -226,6 +226,14 @@ class TestChecks:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite bins"):
             metric(gt, gt)
 
+    def test_overflowing_envelope_rejected(self):
+        # finite samples whose analytic signal overflows; there is no STFT to catch it
+        x = np.full(SR, 1e308)
+        x[::2] = -1e308
+        gt = BinauralSignal(x, x, SR)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="envelope contains non-finite"):
+            env_distance(gt, gt)
+
     def test_env_distance_at_any_sample_rate(self):
         # env_distance takes no StftConfig, so no STFT sample rate applies
         rng = np.random.default_rng(5)

@@ -321,6 +321,14 @@ class TestGenDataset:
         with pytest.raises(RuntimeError, match=r"scene \d+"):
             gen_dataset(self.make_config(tmp_path / "f", count=8), broken, pack, arr)
 
+    def test_failed_scene_writes_failed_file_and_no_manifest(self, tmp_path, pack, arr):
+        broken = {"clip0": MonoSignal(np.ones(100), SR)}  # other refs missing
+        out = tmp_path / "f"
+        with pytest.raises(RuntimeError) as info:
+            gen_dataset(self.make_config(out, count=8), broken, pack, arr)
+        assert (out / "FAILED").read_text() == f"{info.value}\n"
+        assert not (out / "manifest.json").exists()
+
     def test_scene_seed_is_stable(self):
         assert scene_seed(1, 0) == scene_seed(1, 0)
         assert scene_seed(1, 0) != scene_seed(1, 1)

@@ -28,6 +28,18 @@ class TestFovConfig:
         with pytest.raises(ValueError):
             FovConfig(vert_extent=0.0)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"theta_v0": 1.0, "aspect_hw": 0.4},
+            {"theta_v0": 1.0, "aspect_hw": 0.4, "vert_extent": 0.9, "vert_extnt": 0.9},
+            [1.0, 0.4, 0.9],
+        ],
+    )
+    def test_from_dict_needs_exactly_its_keys(self, raw):
+        with pytest.raises(ValueError, match="expected exactly the keys aspect_hw, theta_v0, vert_extent"):
+            FovConfig.from_dict(raw)
+
     def test_dict_round_trip(self):
         cfg = FovConfig(theta_v0=1.0, aspect_hw=0.4, vert_extent=0.9)
         assert FovConfig.from_dict(cfg.to_dict()) == cfg

@@ -26,12 +26,13 @@ def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:
     return int(n)
 
 
-def _as_channel(samples) -> np.ndarray:
+def _as_channel(samples, name: str) -> np.ndarray:
+    """`samples` as a 1-D finite float64 array; a ValueError naming channel `name` if not."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D channel, got shape {arr.shape}")
+        raise ValueError(f"{name} channel must be 1-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("channel contains non-finite samples")
+        raise ValueError(f"{name} channel contains non-finite samples")
     return arr
 
 
@@ -43,7 +44,7 @@ class MonoSignal:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _as_channel(self.samples))
+        object.__setattr__(self, "samples", _as_channel(self.samples, "samples"))
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
@@ -68,7 +69,7 @@ class BFormat:
 
     def __post_init__(self):
         for name in ("w", "x", "y", "z"):
-            object.__setattr__(self, name, _as_channel(getattr(self, name)))
+            object.__setattr__(self, name, _as_channel(getattr(self, name), name))
         lengths = {len(self.w), len(self.x), len(self.y), len(self.z)}
         if len(lengths) != 1:
             raise ValueError(f"channel lengths differ: {sorted(lengths)}")

@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from . import wavio
-from .ambisonic import BFormat, MonoSignal
+from .ambisonic import BFormat, MonoSignal, _as_channel
 from .hrir import HrirPack, nearest
 from .spherical import Direction, harmonic_vector
 
-PINV_IDENTITY_TOL = 1e-9
 # Largest accepted 2-norm condition number of the harmonic matrix. Past it
 # the pseudoinverse's gains run to hundreds and cancel each other, and the
 # float64 rounding of a render grows with them (about eps * cond relative
@@ -48,12 +47,7 @@ class BinauralSignal:
 
     def __post_init__(self):
         for name in ("left", "right"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} channel must be 1-D")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} channel contains non-finite samples")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _as_channel(getattr(self, name), name))
         if len(self.left) != len(self.right):
             raise ValueError(
                 f"channel lengths differ: {len(self.left)} vs {len(self.right)}"
@@ -94,11 +88,7 @@ def make_speaker_array(directions: Sequence[Direction]) -> SpeakerArray:
             f"speaker layout is ill-conditioned (condition number {cond:.3g} > "
             f"{MAX_CONDITION:g}); spread the directions out"
         )
-    d_pinv = np.linalg.pinv(d_matrix)
-    err = np.abs(d_matrix @ d_pinv - np.eye(4)).max()
-    if err > PINV_IDENTITY_TOL:
-        raise ValueError(f"pseudoinverse residual {err:.2e} exceeds {PINV_IDENTITY_TOL}")
-    return SpeakerArray(directions, d_matrix, d_pinv)
+    return SpeakerArray(directions, d_matrix, np.linalg.pinv(d_matrix))
 
 
 def default_speaker_array() -> SpeakerArray:

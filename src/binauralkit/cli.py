@@ -24,7 +24,7 @@ from .binaural import (
     render_direct_hrir,
     write_binaural_wav,
 )
-from .hrir import load_or_default_pack, load_pack, save_pack, synth_pack
+from .hrir import CONTRA_LOWPASS_HZ, load_or_default_pack, load_pack, save_pack, synth_pack
 from .metrics import DEFAULT_HOP_S, DEFAULT_WINDOW_S, evaluate
 from .scenegen import gen_dataset, load_dataset_config
 from .spherical import Direction
@@ -135,12 +135,17 @@ def cmd_compare_decoders(args) -> int:
 
 
 def cmd_hrir_synth(args) -> int:
+    lowpass_hz = CONTRA_LOWPASS_HZ if args.sample_rate > 2 * CONTRA_LOWPASS_HZ else None
     pack = synth_pack(
         n_azimuths=args.n_azimuths,
         head_radius=args.head_radius,
         ild_db=args.ild_db,
         sample_rate=args.sample_rate,
+        contra_lowpass_hz=lowpass_hz,
     )
+    if lowpass_hz is None:
+        print(f"left out the {CONTRA_LOWPASS_HZ:g} Hz far-ear low-pass: it needs a sample "
+              f"rate above {2 * CONTRA_LOWPASS_HZ:g} Hz")
     save_pack(pack, args.out_dir)
     reloaded = load_pack(args.out_dir)
     if len(reloaded.entries) != len(pack.entries):

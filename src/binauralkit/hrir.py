@@ -225,5 +225,6 @@ def load_or_default_pack(path, sample_rate: int) -> HrirPack:
     """The pack saved at `path`, or if it is None the synthetic pack at `sample_rate`."""
     if path is None and sample_rate <= 2 * CONTRA_LOWPASS_HZ:  # its low-pass must be < Nyquist
         raise ValueError(f"the synthetic HRIR pack needs a sample rate above "
-                         f"{2 * CONTRA_LOWPASS_HZ:g} Hz, got {sample_rate}: give an HRIR pack")
+                         f"{2 * CONTRA_LOWPASS_HZ:g} Hz, got {sample_rate}: give an HRIR pack, "
+                         f"e.g. one made by `binauralkit hrir-synth --sample-rate {sample_rate}`")
     return synth_pack(sample_rate=sample_rate) if path is None else load_pack(path)

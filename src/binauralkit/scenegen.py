@@ -3,9 +3,10 @@ and deterministic dataset generation.
 
 Scenes hold up to three mono sources, each peak-normalized, gain-scaled
 (gain doubles as the depth proxy and, by default, the visual patch
-scale), encoded at its mapped direction and rendered through the virtual
-speaker array. Every random draw is keyed off an explicit seed so a
-(master_seed, index) pair fully determines each emitted byte.
+scale) and encoded at its mapped direction; a scene's B-format mix is
+rendered once through the virtual speaker array. Every random draw is keyed
+off an explicit seed so a (master_seed, index) pair fully determines each
+emitted byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get
 import numpy as np
 
 from . import wavio
-from .ambisonic import MonoSignal, encode, seconds_to_samples
+from .ambisonic import MonoSignal, encode, mix, seconds_to_samples
 from .binaural import (
     BinauralSignal,
     SpeakerArray,
@@ -149,13 +150,12 @@ def synth_pseudo_pair(
     """Render one pseudo visual-stereo pair from a scene description.
 
     Each clip is trimmed or zero-padded to the scene duration, peak
-    normalized, scaled by its gain, encoded at its mapped direction and
-    rendered through the virtual array; per-ear sums run over sources.
+    normalized, scaled by its gain and encoded at its mapped direction; the
+    renderer is linear, so the sources' B-format mix is rendered once.
     """
     n = seconds_to_samples(spec.duration_s, spec.sample_rate, "duration_s")
-    left = np.zeros(n)
-    right = np.zeros(n)
     mono_mix = np.zeros(n)
+    parts = []
     per_source = []
     meta_sources = []
     for source in spec.sources:
@@ -170,9 +170,7 @@ def synth_pseudo_pair(
             normalize_amplitude(_fit_duration(clip, n)).samples * source.gain,
             spec.sample_rate,
         )
-        rendered = render_ambisonic_hrir(encode(scaled, direction), arr, pack)
-        left += rendered.left
-        right += rendered.right
+        parts.append(encode(scaled, direction))
         mono_mix += scaled.samples
         per_source.append(scaled)
         meta_sources.append(
@@ -195,7 +193,7 @@ def synth_pseudo_pair(
         "sources": meta_sources,
     }
     return PseudoPair(
-        binaural=BinauralSignal(left, right, spec.sample_rate),
+        binaural=render_ambisonic_hrir(mix(parts), arr, pack),
         mono_mix=MonoSignal(mono_mix, spec.sample_rate),
         per_source_mono=tuple(per_source),
         metadata=metadata,
@@ -324,7 +322,8 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
     The keys are `DatasetConfig`'s fields, `pack` (an HRIR pack folder) and
     `array` (speaker [azimuth, elevation] pairs in degrees); an absent or null
     optional key takes the default. Relative paths resolve against the config's
-    folder. Errors name the config path and the key at fault.
+    folder; each pool clip is read once to check that it is a mono WAV at
+    `sample_rate`. Errors name the config path and the key at fault.
     """
     path = Path(path)
     with _naming(path):
@@ -345,10 +344,6 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
     values["output_dir"] = str(root / values["output_dir"])
     with _naming(path):
         config = DatasetConfig(**values)
-    with _naming(f"pool in {path}"):
-        for ref in config.pool:  # kept as written; the returned store resolves them
-            if not (root / ref).is_file():
-                raise FileNotFoundError(f"clip not found: {root / ref}")
     with _naming(f"pack in {path}"):
         pack_dir = None if raw.get("pack") is None else root / _from_json(raw["pack"], str)
         pack = load_or_default_pack(pack_dir, config.sample_rate)
@@ -357,7 +352,14 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
         arr = default_speaker_array() if speakers is None else make_speaker_array(
             [Direction.from_degrees(az, el) for az, el in speakers]
         )
-    return config, WavStore(root), pack, arr
+    store = WavStore(root)
+    for ref in config.pool:  # kept as written; the returned store resolves them
+        with _naming(f"pool clip {ref!r} in {path}"):
+            rate = store(ref).sample_rate
+            if rate != config.sample_rate:
+                raise ValueError(f"sample rate {rate}, but the config's sample_rate is "
+                                 f"{config.sample_rate}")
+    return config, store, pack, arr
 
 
 def gen_dataset(

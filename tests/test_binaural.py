@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from binauralkit.ambisonic import MonoSignal, encode, mix
+from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.binaural import (
+    MAX_CONDITION,
+    BinauralSignal,
     decode_wy,
     default_speaker_array,
     make_speaker_array,
@@ -152,6 +154,45 @@ class TestSpeakerArray:
                 Direction(0.0, 0.0), Direction(0.0, 1.25), Direction(0.5, 0.0),
                 Direction(0.0, 0.0), Direction(6.103515625e-05, 0.0),
             ])
+
+    def test_accepted_layouts_invert_to_rounding(self):
+        # the condition bound leaves no room for a pseudoinverse residual check:
+        # random layouts with two near-coincident speakers, accepted up to the bound
+        rng = np.random.default_rng(5)
+        worst, conds = 0.0, []
+        for _ in range(2000):
+            m = int(rng.integers(4, 9))
+            az = rng.uniform(-math.pi, math.pi, m)
+            el = rng.uniform(-math.pi / 2, math.pi / 2, m)
+            gap, turn = 10 ** rng.uniform(-6, -0.5), rng.uniform(0, 2 * math.pi)
+            az[1] = az[0] + gap * math.cos(turn)
+            el[1] = np.clip(el[0] + gap * math.sin(turn), -math.pi / 2, math.pi / 2)
+            try:
+                arr = make_speaker_array([Direction(a, e) for a, e in zip(az, el)])
+            except ValueError:
+                continue
+            conds.append(np.linalg.cond(arr.d_matrix))
+            worst = max(worst, float(np.abs(arr.d_matrix @ arr.d_pinv - np.eye(4)).max()))
+        assert len(conds) > 1000 and max(conds) > 0.9 * MAX_CONDITION
+        assert worst <= 1e-11
+
+
+class TestSignalChannels:
+    @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.array([0.0, np.nan, 0.0])])
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("samples", lambda bad, ok: MonoSignal(bad, 16000)),
+            ("w", lambda bad, ok: BFormat(bad, ok, ok, ok)),
+            ("z", lambda bad, ok: BFormat(ok, ok, ok, bad)),
+            ("left", lambda bad, ok: BinauralSignal(bad, ok, 16000)),
+            ("right", lambda bad, ok: BinauralSignal(ok, bad, 16000)),
+        ],
+    )
+    def test_bad_channel_is_named(self, name, build, bad):
+        problem = "must be 1-D" if bad.ndim != 1 else "contains non-finite samples"
+        with pytest.raises(ValueError, match=f"^{name} channel {problem}"):
+            build(bad, np.zeros(3))
 
 
 class TestProjection:

@@ -116,6 +116,26 @@ class TestHrirSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_low_rate_pack_the_render_error_asks_for(self, tmp_path, capsys):
+        tone = write_tone(tmp_path / "tone8k.wav", sr=8000)
+        out = tmp_path / "x.wav"
+        render = ["render", "--in", str(tone), "--out", str(out), "--azimuth-deg", "30"]
+        assert main(render) == 1
+        assert "binauralkit hrir-synth --sample-rate 8000" in capsys.readouterr().err
+        pack_dir = tmp_path / "pack8k"
+        assert main(["hrir-synth", "--out-dir", str(pack_dir), "--sample-rate", "8000"]) == 0
+        assert "left out the 6000 Hz far-ear low-pass" in capsys.readouterr().out
+        from binauralkit.hrir import load_pack
+
+        pack = load_pack(pack_dir)
+        assert pack.sample_rate == 8000
+        for entry in pack.entries:  # no low-pass tail: one tap per ear
+            assert np.count_nonzero(entry.left_fir) == np.count_nonzero(entry.right_fir) == 1
+        assert main(render + ["--hrir-pack", str(pack_dir)]) == 0
+        rate, data = wavio.read_wav(out, channels=2)
+        assert rate == 8000 and data.shape == (8000, 2)
+        assert np.abs(data[:, 0]).max() > np.abs(data[:, 1]).max()  # +30 deg is on the left
+
 
 class TestEval:
     def test_self_comparison(self, tmp_path, capsys):
@@ -310,6 +330,17 @@ class TestDataset:
         assert main(["dataset", "--config", str(config)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate, data, needle", [
+        (8000, np.full(SR // 4, 0.1), "sample rate 8000, but the config's sample_rate is 16000"),
+        (SR, np.full((SR // 4, 2), 0.1), "is not a mono WAV: it has 2 channel(s)"),
+        (SR, np.array([0.1, np.nan, 0.1]), "contains non-finite samples"),
+    ])
+    def test_bad_pool_clip_fails_before_work(self, tmp_path, capsys, rate, data, needle):
+        pool = self.make_pool(tmp_path)
+        wavio.write_wav(tmp_path / "odd.wav", rate, data)
+        self.write_config(tmp_path, pool + ["odd.wav"])
+        self.assert_fails_before_work(tmp_path, capsys, "pool clip 'odd.wav' in", needle)
 
     def assert_fails_before_work(self, tmp_path, capsys, *needles):
         config = tmp_path / "config.json"

@@ -121,12 +121,9 @@ def cmd_compare_decoders(args) -> int:
     distances = {}
     for i, a in enumerate(DECODERS):
         for b in DECODERS[i + 1 :]:
-            try:
-                report = evaluate(rendered[a], rendered[b])
-                entry = report.to_dict()
-            except ValueError:
-                entry = None  # silent reference signal; distances undefined
-            distances[f"{a}_vs_{b}"] = entry
+            ref = rendered[a]
+            silent = not (ref.left.any() or ref.right.any())  # distances are undefined
+            distances[f"{a}_vs_{b}"] = None if silent else evaluate(ref, rendered[b]).to_dict()
     (out_dir / "decoder_distances.json").write_text(
         json.dumps(distances, indent=2, sort_keys=True)
     )

@@ -224,6 +224,29 @@ class TestCompareDecoders:
             np.testing.assert_array_equal(data, 0.0)
 
 
+    def test_silent_reference_gives_null_distances(self, tmp_path):
+        silent = tmp_path / "silent.wav"
+        wavio.write_wav(silent, SR, np.zeros(SR))
+        out = tmp_path / "cmp"
+        assert main(["compare-decoders", "--in", str(silent), "--out-dir", str(out),
+                     "--azimuth-deg", "0"]) == 0
+        distances = json.loads((out / "decoder_distances.json").read_text())
+        assert distances == dict.fromkeys(
+            ["wy_vs_hrir", "wy_vs_ambisonic-hrir", "hrir_vs_ambisonic-hrir"])
+
+    def test_rate_the_metrics_cannot_take_fails(self, tmp_path, capsys):
+        # a 44.1 kHz input renders with a 44.1 kHz pack, but the metrics'
+        # STFT is set for 16 kHz: that is an error, not a null distance
+        tone = write_tone(tmp_path / "tone44k.wav", sr=44100)
+        out = tmp_path / "cmp"
+        assert main(["compare-decoders", "--in", str(tone), "--out-dir", str(out),
+                     "--azimuth-deg", "30"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "signal rate 44100 != config rate 16000" in err
+        assert not (out / "decoder_distances.json").exists()
+
+
 class TestDataset:
     def make_pool(self, root, n=4):
         pool = []
@@ -435,6 +458,20 @@ def test_cli_import_leaves_out_scipy_signal_and_numba():
         "import sys, binauralkit.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numba' "
         "or m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the one runtime dependency: WAV I/O is wavio's own
+    src = str(Path(binauralkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, binauralkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -1,0 +1,238 @@
+"""`wavio` reads and writes RIFF/WAVE itself; scipy.io.wavfile is the oracle.
+
+The writer must give scipy's bytes for float32 and pcm16. The reader must
+give the values the scipy-based reader gave (`scipy_read_wav` below, kept
+as the reference) for every format it read, and must reject truncated,
+malformed and unsupported files with a ValueError that names the path.
+"""
+
+import struct
+import warnings
+
+import numpy as np
+import pytest
+from scipy.io import wavfile
+
+from binauralkit import wavio
+from binauralkit.cli import main
+
+SR = 16000
+LENGTHS = [0, 1, 2, 3, 7]
+CHANNELS = [1, 2, 3, 4]
+# the WAVE_FORMAT_EXTENSIBLE subformat GUID, after its 4-byte format tag
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def scipy_read_wav(path):
+    """The scipy-based reader `wavio.read_wav` replaced: scaled float64 data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_rate, data = wavfile.read(path)
+    if data.dtype == np.int16:
+        data = data / 32768.0
+    elif data.dtype == np.int32:
+        data = data / 2147483648.0
+    elif data.dtype == np.uint8:
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    return int(sample_rate), np.asarray(data, dtype=np.float64)
+
+
+def chunk(chunk_id: bytes, body: bytes) -> bytes:
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def riff(*chunks: bytes, form: bytes = b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return form + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, width=None, extensible=False):
+    width = width or -(-bits // 8)
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, SR,
+                       SR * channels * width, channels * width, bits)
+    if extensible:  # cbSize, valid bits, channel mask, subformat GUID
+        body += struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", tag) + GUID_TAIL
+    return chunk(b"fmt ", body)
+
+
+def samples(encoding, n, channels, seed=0):
+    """Random stored samples covering each format's extremes."""
+    rng = np.random.default_rng(seed)
+    if encoding.startswith("f"):
+        x = rng.uniform(-1.5, 1.5, size=(n, channels)).astype(encoding)
+        x.flat[:2] = [-1.0, 1.0][: x.size]
+        return x
+    info = np.iinfo(encoding)
+    x = rng.integers(info.min, info.max, size=(n, channels), endpoint=True, dtype=encoding)
+    x.flat[:2] = [info.min, info.max][: x.size]
+    return x
+
+
+def as_written(x):
+    return x[:, 0] if x.shape[1] == 1 else x
+
+
+class TestWriterMatchesScipy:
+    @pytest.mark.parametrize("channels", CHANNELS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    def test_bytes(self, tmp_path, fmt, n, channels):
+        rng = np.random.default_rng(n * 10 + channels)
+        data = as_written(rng.uniform(-1.2, 1.2, (n, channels)))
+        if fmt == "float32":
+            stored = data.astype(np.float32)
+        else:
+            stored = np.round(np.clip(data, -1.0, 1.0) * 32767.0).astype(np.int16)
+        wavfile.write(tmp_path / "scipy.wav", SR, stored)
+        wavio.write_wav(tmp_path / "ours.wav", SR, data, fmt=fmt)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    def test_column_slices_are_written_in_frame_order(self, tmp_path):
+        data = np.arange(12.0).reshape(3, 4).T / 16  # a Fortran-ordered (4, 3) view
+        wavfile.write(tmp_path / "scipy.wav", SR, data.astype(np.float32))
+        wavio.write_wav(tmp_path / "ours.wav", SR, data)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    def test_unknown_format_and_shape_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unsupported wav sample format: 'pcm24'"):
+            wavio.write_wav(tmp_path / "x.wav", SR, np.zeros(4), fmt="pcm24")
+        with pytest.raises(ValueError, match=r"1-D or 2-D, got shape \(2, 2, 2\)"):
+            wavio.write_wav(tmp_path / "x.wav", SR, np.zeros((2, 2, 2)))
+        assert not (tmp_path / "x.wav").exists()
+
+
+class TestReaderMatchesScipy:
+    def check(self, path, channels):
+        rate, data = wavio.read_wav(path)
+        want_rate, want = scipy_read_wav(path)
+        assert rate == want_rate == SR
+        assert data.dtype == np.float64 and data.shape == want.shape
+        assert data.shape[1:] == (() if channels == 1 else (channels,))
+        np.testing.assert_array_equal(data, want)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("encoding", ["u1", "i2", "i4", "f4", "f8"])
+    def test_scipy_written(self, tmp_path, encoding, n, channels):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, SR, as_written(samples(encoding, n, channels)))
+        self.check(path, channels)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("bits, width", [(24, 3), (20, 3), (12, 2), (24, 4)])
+    def test_pcm_in_containers(self, tmp_path, bits, width, extensible, n, channels):
+        # left-justified: the valid bits are the top bits of each container
+        stored = samples("i4", n, channels) & -(1 << (32 - bits))
+        raw = stored.astype("<i4").view(np.uint8).reshape(-1, 4)[:, 4 - width :].tobytes()
+        path = tmp_path / "x.wav"
+        fmt = fmt_chunk(1, channels, bits, width, extensible)
+        path.write_bytes(riff(fmt, chunk(b"data", raw)))
+        self.check(path, channels)
+        data = wavio.read_wav(path)[1].reshape(n, channels)
+        np.testing.assert_array_equal(data, stored / 2.0**31)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("encoding, tag, bits", [
+        ("u1", 1, 8), ("i2", 1, 16), ("i4", 1, 32), ("f4", 3, 32), ("f8", 3, 64),
+    ])
+    def test_extensible_header(self, tmp_path, encoding, tag, bits, channels):
+        raw = samples(encoding, 5, channels).astype(np.dtype(encoding).newbyteorder("<"))
+        raw = raw.tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(tag, channels, bits, extensible=True), chunk(b"data", raw)))
+        self.check(path, channels)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_odd_list_fact_and_junk_chunks_are_skipped(self, tmp_path, channels):
+        raw = samples("i2", 3, channels).astype("<i2").tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(
+            chunk(b"JUNK", b"\x00" * 3), fmt_chunk(1, channels, 16),
+            chunk(b"LIST", b"INFOx"),  # 5 bytes, so a pad byte follows
+            chunk(b"fact", struct.pack("<I", 3)), chunk(b"data", raw), chunk(b"LIST", b"INFOabc"),
+        ))
+        self.check(path, channels)
+
+
+class TestRejected:
+    def read_fails(self, path, *needles):
+        with pytest.raises(ValueError) as info:
+            wavio.read_wav(path)
+        for needle in (str(path), *needles):
+            assert needle in str(info.value)
+
+    @pytest.mark.parametrize("keep", [0.5, 0.99])
+    def test_truncated_data_chunk(self, tmp_path, keep):
+        path = tmp_path / "cut.wav"
+        wavio.write_wav(path, SR, np.ones((100, 2)) * 0.5)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: int(len(whole) * keep)])
+        self.read_fails(path, "truncated WAV", "declares 800 bytes")
+
+    def test_int64_pcm(self, tmp_path):
+        path = tmp_path / "wide.wav"
+        wavfile.write(path, SR, np.arange(4, dtype=np.int64) << 40)
+        self.read_fails(path, "64-bit integer PCM")
+
+    @pytest.mark.parametrize("head, needle", [
+        (b"hello, world", "it starts b'hell'"),
+        (b"", "b''"),
+        (b"RIFF\x04\x00\x00\x00AVI ", "form type b'AVI '"),
+    ])
+    def test_not_riff_wave(self, tmp_path, head, needle):
+        path = tmp_path / "x.wav"
+        path.write_bytes(head)
+        self.read_fails(path, "not a little-endian RIFF/WAVE file", needle)
+
+    @pytest.mark.parametrize("form", [b"RIFX", b"RF64"])
+    def test_big_endian_and_rf64(self, tmp_path, form):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(1, 1, 16), chunk(b"data", b"\x00\x00"), form=form))
+        self.read_fails(path, repr(form))
+
+    @pytest.mark.parametrize("tag, bits, needle", [
+        (6, 8, "8-bit format tag 0x0006"),  # A-law
+        (3, 16, "16-bit float"),
+        (1, 0, "0-bit integer PCM"),
+    ])
+    def test_unsupported_sample_format(self, tmp_path, tag, bits, needle):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(tag, 1, bits, width=2), chunk(b"data", b"\x00" * 4)))
+        self.read_fails(path, "unsupported WAV sample format", needle)
+
+    def test_unknown_extensible_subformat(self, tmp_path):
+        path = tmp_path / "x.wav"
+        fmt = bytearray(fmt_chunk(1, 1, 16, extensible=True))
+        fmt[-1] ^= 0xFF  # a GUID outside the WAVE_FORMAT family
+        path.write_bytes(riff(bytes(fmt), chunk(b"data", b"\x00\x00")))
+        self.read_fails(path, "16-bit format tag 0xfffe")
+
+    def test_block_align_that_does_not_fit(self, tmp_path):
+        body = struct.pack("<HHIIHH", 1, 2, SR, SR * 3, 3, 16)
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(chunk(b"fmt ", body), chunk(b"data", b"\x00" * 6)))
+        self.read_fails(path, "2 channel(s) in 3-byte frames")
+
+    @pytest.mark.parametrize("chunks, needle", [
+        ([fmt_chunk(1, 1, 16)], "no data chunk"),
+        ([chunk(b"data", b"\x00\x00"), fmt_chunk(1, 1, 16)], "no fmt chunk before the data chunk"),
+        ([chunk(b"fmt ", b"\x01\x00"), chunk(b"data", b"")], "fmt chunk of 2 bytes"),
+        ([fmt_chunk(1, 2, 16), chunk(b"data", b"\x00" * 6)], "not whole 4-byte frames"),
+    ])
+    def test_malformed_structure(self, tmp_path, chunks, needle):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(*chunks))
+        self.read_fails(path, needle)
+
+    def test_render_of_a_truncated_input_fails_by_name(self, tmp_path, capsys):
+        path = tmp_path / "half_cut.wav"
+        wavio.write_wav(path, SR, 0.5 * np.sin(np.arange(SR) / 10))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        code = main(["render", "--in", str(path), "--out", str(tmp_path / "out.wav"),
+                     "--azimuth-deg", "30"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: truncated WAV")
+        assert not (tmp_path / "out.wav").exists()

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import wavio
-from .spherical import Direction
+from .spherical import Direction, harmonic_vector
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -89,15 +89,8 @@ def encode(source: MonoSignal, direction: Direction) -> BFormat:
     """Encode a mono source at a direction into first-order B-format."""
     if source.n_samples == 0:
         raise ValueError("cannot encode an empty signal")
-    s = source.samples
-    cos_el = math.cos(direction.elevation)
-    return BFormat(
-        w=s.copy(),
-        x=s * (cos_el * math.cos(direction.azimuth)),
-        y=s * (cos_el * math.sin(direction.azimuth)),
-        z=s * math.sin(direction.elevation),
-        sample_rate=source.sample_rate,
-    )
+    w, x, y, z = (gain * source.samples for gain in harmonic_vector(direction))
+    return BFormat(w, x, y, z, sample_rate=source.sample_rate)
 
 
 def mix(parts: Sequence[BFormat]) -> BFormat:

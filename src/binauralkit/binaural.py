@@ -6,7 +6,7 @@ pseudoinverse of the 4 x M harmonic matrix), then convolves each virtual
 feed with the HRIR pair nearest its speaker direction and sums per ear.
 All three stages are linear and time-invariant, so they run as one
 precomputed 4-in/2-out FIR per (array, pack), cached by object identity;
-arrays and packs are treated as immutable.
+the FIRs of packs and the matrices of arrays are read-only.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def make_speaker_array(directions: Sequence[Direction]) -> SpeakerArray:
             f"speaker layout is ill-conditioned (condition number {cond:.3g} > "
             f"{MAX_CONDITION:g}); spread the directions out"
         )
-    return SpeakerArray(directions, d_matrix, np.linalg.pinv(d_matrix))
+    d_pinv = np.linalg.pinv(d_matrix)
+    d_matrix.flags.writeable = d_pinv.flags.writeable = False
+    return SpeakerArray(directions, d_matrix, d_pinv)
 
 
 def default_speaker_array() -> SpeakerArray:

@@ -96,9 +96,8 @@ def cmd_eval(args) -> int:
     gt = read_binaural_wav(args.gt_wav)
     pred = read_binaural_wav(args.pred_wav)
     report = evaluate(gt, pred, window_s=args.window_s, hop_s=args.hop_s)
-    payload = report.to_dict(window_s=args.window_s, hop_s=args.hop_s)
     if args.report is not None:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        Path(args.report).write_text(report.to_json())
     print(
         f"stft {report.stft_dist:.6f}  env {report.env:.6f}  mag {report.mag:.6f}  "
         f"snr_db {report.snr_db:.3f}  d_phase {report.d_phase:.6f}  "

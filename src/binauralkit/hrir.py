@@ -30,7 +30,7 @@ CONTRA_LOWPASS_HZ = 6000.0  # far-ear low-pass corner of the synthetic pack
 
 @dataclass(frozen=True, eq=False)
 class HrirEntry:
-    """Left/right impulse-response pair measured (or synthesized) at one direction."""
+    """Left/right impulse-response pair at one direction, as read-only float64 copies."""
 
     direction: Direction
     left_fir: np.ndarray
@@ -39,11 +39,12 @@ class HrirEntry:
 
     def __post_init__(self):
         for name in ("left_fir", "right_fir"):
-            taps = np.asarray(getattr(self, name), dtype=np.float64)
+            taps = np.array(getattr(self, name), dtype=np.float64)
             if taps.ndim != 1 or len(taps) == 0:
                 raise ValueError(f"{name} must be a non-empty 1-D filter")
             if not np.all(np.isfinite(taps)):
                 raise ValueError(f"{name} contains non-finite taps")
+            taps.flags.writeable = False
             object.__setattr__(self, name, taps)
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")

@@ -27,15 +27,19 @@ SNR_CAP_DB = 120.0
 
 @dataclass
 class MetricsReport:
+    """The five window-averaged metrics and the window, hop and STFT behind them."""
+
     stft_dist: float
     env: float
     mag: float
     snr_db: float
     d_phase: float
     windows: int
+    window_s: float | None
+    hop_s: float | None
+    stft_config: StftConfig
 
-    def to_dict(self, window_s: float | None = None, hop_s: float | None = None,
-                cfg: StftConfig = DEFAULT_STFT) -> dict:
+    def to_dict(self) -> dict:
         return {
             "stft": self.stft_dist,
             "env": self.env,
@@ -43,11 +47,13 @@ class MetricsReport:
             "snr_db": self.snr_db,
             "d_phase": self.d_phase,
             "windows": self.windows,
-            "config": {"window_s": window_s, "hop_s": hop_s, "stft": cfg.to_dict()},
+            "config": {
+                "window_s": self.window_s, "hop_s": self.hop_s, "stft": self.stft_config.to_dict()
+            },
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(**kwargs), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
@@ -114,13 +120,13 @@ def hilbert(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec, n, axis=-1)
 
 
-def _snr_db(gt_l, gt_r, pd_l, pd_r, cap_db: float) -> float | None:
+def _snr_db(gt_l, gt_r, pd_l, pd_r) -> float | None:
     signal = np.sum(gt_l**2) + np.sum(gt_r**2)
     if signal == 0.0:
         return None
     noise = np.sum((gt_l - pd_l) ** 2) + np.sum((gt_r - pd_r) ** 2)
     if noise == 0.0:
-        return cap_db
+        return SNR_CAP_DB
     return 10.0 * np.log10(signal / noise)
 
 
@@ -159,21 +165,20 @@ def mag_distance(
     return float(np.mean([_mag_term(_spectra(b, gt.sample_rate, cfg)) for b in blocks]))
 
 
-def snr(gt: BinauralSignal, pred: BinauralSignal, cap_db: float = SNR_CAP_DB) -> float:
-    """Whole-signal 10 log10(signal/residual) over both channels, in dB."""
+def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
+    """Whole-signal 10 log10(signal/residual) over both channels, in dB,
+    SNR_CAP_DB on a zero residual."""
     _check_pair(gt, pred)
-    value = _snr_db(gt.left, gt.right, pred.left, pred.right, cap_db)
+    value = _snr_db(gt.left, gt.right, pred.left, pred.right)
     if value is None:
         raise ValueError("ground truth is identically zero; SNR is undefined")
     return float(value)
 
 
-def d_phase(
-    gt: BinauralSignal, pred_diff_spec: Spectrogram, cfg: StftConfig = DEFAULT_STFT
-) -> float:
-    """Mean |principal-value phase difference| between the ground-truth l-r
-    spectrogram and a predicted difference spectrogram."""
-    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate, cfg)
+def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
+    """Mean |principal-value phase difference| between a predicted l-r
+    spectrogram and the ground truth's, transformed with the prediction's config."""
+    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate, pred_diff_spec.config)
     if gt_diff.shape != pred_diff_spec.shape:
         raise ValueError(
             f"shape mismatch: gt diff {gt_diff.shape} vs prediction {pred_diff_spec.shape}"
@@ -184,10 +189,9 @@ def d_phase(
 def evaluate(
     gt: BinauralSignal,
     pred: BinauralSignal,
-    window_s: float = DEFAULT_WINDOW_S,
+    window_s: float | None = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
     cfg: StftConfig = DEFAULT_STFT,
-    snr_cap_db: float = SNR_CAP_DB,
 ) -> MetricsReport:
     """Slide a window over the pair and average all five metrics.
 
@@ -204,7 +208,7 @@ def evaluate(
         diff = _spectra(block[0::2] - block[1::2], sr, cfg)
         terms.append((
             _stft_term(spec), _env_term(block), _mag_term(spec),
-            _snr_db(*block, snr_cap_db), phase_mean_abs(diff[0], diff[1]),
+            _snr_db(*block), phase_mean_abs(diff[0], diff[1]),
         ))
     stft_vals, env_vals, mag_vals, snr_vals, phase_vals = zip(*terms)
     snr_vals = [v for v in snr_vals if v is not None]  # silent ground truth
@@ -217,4 +221,7 @@ def evaluate(
         snr_db=float(np.mean(snr_vals)),
         d_phase=float(np.mean(phase_vals)),
         windows=len(terms),
+        window_s=window_s,
+        hop_s=None if window_s is None else hop_s,  # one window: the hop is unused
+        stft_config=cfg,
     )

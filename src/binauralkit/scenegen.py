@@ -2,11 +2,10 @@
 and deterministic dataset generation.
 
 Scenes hold up to three mono sources, each peak-normalized, gain-scaled
-(gain doubles as the depth proxy and, by default, the visual patch
-scale) and encoded at its mapped direction; a scene's B-format mix is
-rendered once through the virtual speaker array. Every random draw is keyed
-off an explicit seed so a (master_seed, index) pair fully determines each
-emitted byte.
+(gain doubles as the depth proxy and the visual patch scale) and encoded
+at its mapped direction; a scene's B-format mix is rendered once through
+the virtual speaker array. Every random draw is keyed off an explicit
+seed, so a (master_seed, index) pair fully determines each emitted byte.
 """
 
 from __future__ import annotations
@@ -52,15 +51,10 @@ class SceneSource:
     audio_ref: str
     placement: Placement
     gain: float = 1.0
-    patch_scale: float | None = None
 
     def __post_init__(self):
         if self.gain < 0:
             raise ValueError(f"gain must be non-negative, got {self.gain}")
-        if self.patch_scale is None:
-            object.__setattr__(self, "patch_scale", self.gain)
-        elif self.patch_scale <= 0:
-            raise ValueError(f"patch_scale must be positive, got {self.patch_scale}")
         if not isinstance(self.placement, Direction):
             u, v = self.placement
             object.__setattr__(self, "placement", (float(u), float(v)))
@@ -134,8 +128,8 @@ def _fit_duration(s: MonoSignal, n: int) -> MonoSignal:
     return MonoSignal(np.pad(s.samples, (0, n - s.n_samples)), s.sample_rate)
 
 
-def _patch_box(u: float, v: float, patch_scale: float) -> list[float]:
-    half = PATCH_BASE_HALF * patch_scale
+def _patch_box(u: float, v: float, gain: float) -> list[float]:
+    half = PATCH_BASE_HALF * gain
     return [
         max(u - half, -1.0),
         max(v - half, -1.0),
@@ -181,8 +175,8 @@ def synth_pseudo_pair(
                 "azimuth_rad": direction.azimuth,
                 "elevation_rad": direction.elevation,
                 "gain": source.gain,
-                "patch_scale": source.patch_scale,
-                "patch_box": _patch_box(u, v, source.patch_scale),
+                "patch_scale": source.gain,
+                "patch_box": _patch_box(u, v, source.gain),
             }
         )
     metadata = {
@@ -369,10 +363,12 @@ def gen_dataset(
 
     Every scene is derived from (master_seed, index) alone, so any
     synthesis scheduling produces the same files. The manifest is written
-    only after all scenes complete; a failing scene writes FAILED instead.
+    only after all scenes complete; a failing scene writes FAILED instead,
+    and a run removes the FAILED of an earlier one as it starts.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "FAILED").unlink(missing_ok=True)
     manifest = []
     for i in range(config.count):
         try:

@@ -269,6 +269,19 @@ class TestAmbisonicHrirRender:
         np.testing.assert_allclose(a.left, b.right, atol=1e-6 * scale)
         np.testing.assert_allclose(a.right, b.left, atol=1e-6 * scale)
 
+    def test_cached_filters_and_matrices_cannot_be_edited(self, noise, pack):
+        # the render is cached by pack and array identity: an in-place edit
+        # would leave it stale, so every array it is built from is read-only
+        arr = default_speaker_array()
+        render_ambisonic_hrir(encode(noise, Direction(0.3, 0.0)), arr, pack)
+        for entry in pack.entries:
+            for fir in (entry.left_fir, entry.right_fir):
+                with pytest.raises(ValueError, match="read-only"):
+                    fir[:] = 0.0
+        for matrix in (arr.d_matrix, arr.d_pinv):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[:] = 0.0
+
     def test_rate_mismatch_rejected(self, noise):
         arr = default_speaker_array()
         pack44 = synth_pack(sample_rate=44100)

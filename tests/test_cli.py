@@ -153,6 +153,16 @@ class TestEval:
         assert report["d_phase"] == 0.0
         assert report["windows"] >= 1
 
+    def test_report_records_the_window_flags(self, tmp_path):
+        stereo = tmp_path / "gt.wav"
+        wavio.write_wav(stereo, SR, np.random.default_rng(64).normal(size=(SR, 2)) * 0.1)
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--gt", str(stereo), "--pred", str(stereo), "--report",
+                     str(report_path), "--window-s", "0.5", "--hop-s", "0.25"]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["windows"] == 3
+        assert report["config"]["window_s"] == 0.5 and report["config"]["hop_s"] == 0.25
+
     def test_channel_swap_on_hard_panned_material(self, tmp_path):
         rng = np.random.default_rng(62)
         left = rng.normal(size=SR)
@@ -204,6 +214,17 @@ class TestCompareDecoders:
             "wy_vs_hrir", "wy_vs_ambisonic-hrir", "hrir_vs_ambisonic-hrir",
         }
         assert all(v is not None for v in distances.values())
+
+    def test_distances_record_the_window_they_used(self, tmp_path, tone):
+        out = tmp_path / "cmp"
+        assert main(["compare-decoders", "--in", str(tone), "--out-dir", str(out),
+                     "--azimuth-deg", "30"]) == 0
+        distances = json.loads((out / "decoder_distances.json").read_text())
+        for d in distances.values():
+            assert d["windows"] == 4  # 0.63 s windows at a 0.1 s hop over 1 s
+            assert d["config"] == {
+                "window_s": 0.63, "hop_s": 0.1, "stft": {"n_fft": 512, "win": 400, "hop": 160}
+            }
 
     def test_hard_left_louder_left_in_all_decoders(self, tmp_path, tone):
         out = tmp_path / "cmp"
@@ -448,6 +469,16 @@ class TestDataset:
         assert store(example["pool"][0]).n_samples == 10  # refs resolve beside the config
         assert pack.name == "synthetic"
         assert arr.directions == default_speaker_array().directions
+
+
+def test_readme_library_example_runs(capsys):
+    # the Python block under "Library" in the README
+    text = README.read_text().split("## Library", 1)[1]
+    namespace = {}
+    exec(text.split("```python", 1)[1].split("```", 1)[0], namespace)
+    report = namespace["report"]
+    assert report.windows == 4  # 0.63 s windows at a 0.1 s hop over 1 s
+    assert json.loads(capsys.readouterr().out) == report.to_dict()
 
 
 def test_cli_import_leaves_out_scipy_signal_and_numba():

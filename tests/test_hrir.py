@@ -36,6 +36,13 @@ class TestPackValidation:
         with pytest.raises(ValueError):
             HrirPack((entry_at(0, 0), entry_at(0, 0)), 16000)
 
+    def test_entry_copies_the_callers_filters(self):
+        taps = np.array([1.0, 0.5])
+        entry = HrirEntry(Direction(0, 0), taps, taps, 16000)
+        taps[0] = 2.0  # the caller's array stays writeable
+        assert entry.left_fir[0] == entry.right_fir[0] == 1.0
+        assert not entry.left_fir.flags.writeable
+
     def test_rejects_empty_filter(self):
         with pytest.raises(ValueError):
             HrirEntry(Direction(0, 0), np.array([]), np.array([1.0]), 16000)

@@ -17,7 +17,7 @@ from binauralkit.metrics import (
     snr,
     stft_distance,
 )
-from binauralkit.spectral import Spectrogram, stft
+from binauralkit.spectral import Spectrogram, StftConfig, stft
 
 SR = 16000
 
@@ -189,6 +189,14 @@ class TestDPhase:
         value = d_phase(gt, arbitrary)
         assert 0.0 <= value <= math.pi
 
+    def test_ground_truth_uses_the_spectrogram_config(self):
+        # the same shape as under DEFAULT_STFT, so only the config tells them apart
+        gt = noise_pair(34, n=4000)
+        cfg = StftConfig(512, 256, 160)
+        own = stft(MonoSignal(gt.left - gt.right, SR), cfg)
+        assert own.shape == stft(MonoSignal(gt.left - gt.right, SR)).shape
+        assert d_phase(gt, own) == 0.0
+
     def test_shape_mismatch_rejected(self):
         gt = noise_pair(24, n=4000)
         with pytest.raises(ValueError):
@@ -225,9 +233,24 @@ class TestEvaluate:
     def test_report_json_schema(self):
         gt = noise_pair(29)
         report = evaluate(gt, binaural(gt.left.copy(), gt.right.copy()))
-        payload = json.loads(report.to_json(window_s=0.63, hop_s=0.1))
+        payload = json.loads(report.to_json())
         assert set(payload) == {"stft", "env", "mag", "snr_db", "d_phase", "windows", "config"}
-        assert payload["config"]["stft"] == {"n_fft": 512, "win": 400, "hop": 160}
+        assert payload["config"] == {
+            "window_s": 0.63, "hop_s": 0.1, "stft": {"n_fft": 512, "win": 400, "hop": 160}
+        }
+
+    def test_report_records_the_settings_it_was_computed_with(self):
+        gt, pred = noise_pair(32, n=4000), noise_pair(33, n=4000)
+        cfg = StftConfig(256, 200, 100)
+        report = evaluate(gt, pred, 0.2, 0.05, cfg)
+        assert (report.window_s, report.hop_s, report.stft_config) == (0.2, 0.05, cfg)
+        assert report.to_dict()["config"] == {
+            "window_s": 0.2, "hop_s": 0.05, "stft": {"n_fft": 256, "win": 200, "hop": 100}
+        }
+        # one whole-signal window ignores the hop, so none is recorded
+        whole = evaluate(gt, pred, window_s=None, hop_s=0.05)
+        assert whole.to_dict()["config"]["window_s"] is None
+        assert whole.to_dict()["config"]["hop_s"] is None
 
     def test_window_order_independence(self):
         # metric accumulations are plain means; spot-check hop alignment

@@ -96,7 +96,7 @@ def oracle_mag_distance(gt, pred, cfg=DEFAULT_STFT, window_s=0.63, hop_s=0.1):
     return float(np.mean(vals))
 
 
-def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT, snr_cap_db=120.0):
+def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT):
     _check_pair(gt, pred)
     win, starts = _window_starts(gt.n_samples, gt.sample_rate, window_s, hop_s)
     sr = gt.sample_rate
@@ -112,7 +112,7 @@ def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT, snr_ca
             np.sqrt(np.sum((_envelope(gl) - _envelope(pl)) ** 2))
             + np.sqrt(np.sum((_envelope(gr) - _envelope(pr)) ** 2))
         )
-        value = _snr_db(gl, gr, pl, pr, snr_cap_db)
+        value = _snr_db(gl, gr, pl, pr)
         if value is not None:
             snr_vals.append(value)
         phase_vals.append(phase_mean_abs(_spec(gl - gr, sr, cfg), _spec(pl - pr, sr, cfg)))
@@ -125,6 +125,9 @@ def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT, snr_ca
         snr_db=float(np.mean(snr_vals)),
         d_phase=float(np.mean(phase_vals)),
         windows=len(starts),
+        window_s=window_s,
+        hop_s=None if window_s is None else hop_s,
+        stft_config=cfg,
     )
 
 

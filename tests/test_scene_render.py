@@ -80,8 +80,8 @@ def per_source_pseudo_pair(spec, store, pack, arr):
                 "azimuth_rad": direction.azimuth,
                 "elevation_rad": direction.elevation,
                 "gain": source.gain,
-                "patch_scale": source.patch_scale,
-                "patch_box": _patch_box(u, v, source.patch_scale),
+                "patch_scale": source.gain,
+                "patch_box": _patch_box(u, v, source.gain),
             }
         )
     metadata = {

@@ -82,9 +82,12 @@ class TestSceneTypes:
         with pytest.raises(ValueError):
             SceneSource("clip0", (0.0, 0.0), gain=-0.1)
 
-    def test_patch_scale_defaults_to_gain(self):
-        src = SceneSource("clip0", (0.0, 0.0), gain=0.7)
-        assert src.patch_scale == 0.7
+    def test_patch_scale_is_the_gain(self, store, pack, arr):
+        pair = synth_pseudo_pair(scene([SceneSource("clip0", (0.2, 0.0), gain=0.7)]),
+                                 store, pack, arr)
+        meta = pair.metadata["sources"][0]
+        assert meta["patch_scale"] == meta["gain"] == 0.7
+        assert meta["patch_box"] == pytest.approx([0.2 - 0.175, -0.175, 0.2 + 0.175, 0.175])
 
 
 class TestSynthPseudoPair:
@@ -209,7 +212,6 @@ class TestSampleScene:
         for seed in range(100):
             for s in sample_scene(seed, pool, gain_range=(0.5, 1.0)).sources:
                 assert 0.5 <= s.gain <= 1.0
-                assert s.patch_scale == s.gain
 
     def test_empirical_ratio_matches_table(self):
         pool = [f"c{i}" for i in range(6)]
@@ -328,6 +330,16 @@ class TestGenDataset:
             gen_dataset(self.make_config(out, count=8), broken, pack, arr)
         assert (out / "FAILED").read_text() == f"{info.value}\n"
         assert not (out / "manifest.json").exists()
+
+    def test_good_rerun_clears_an_earlier_failure(self, tmp_path, store, pack, arr):
+        broken = {"clip0": MonoSignal(np.ones(100), SR)}  # other refs missing
+        out = tmp_path / "f"
+        with pytest.raises(RuntimeError):
+            gen_dataset(self.make_config(out, count=8), broken, pack, arr)
+        assert (out / "FAILED").exists()
+        gen_dataset(self.make_config(out), store, pack, arr)
+        assert not (out / "FAILED").exists()
+        assert (out / "manifest.json").is_file()
 
     def test_scene_seed_is_stable(self):
         assert scene_seed(1, 0) == scene_seed(1, 0)

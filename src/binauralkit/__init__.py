@@ -7,7 +7,6 @@ from .binaural import (
     SpeakerArray,
     decode_wy,
     default_speaker_array,
-    make_speaker_array,
     project_to_speakers,
     render_ambisonic_hrir,
     render_direct_hrir,
@@ -72,7 +71,6 @@ __all__ = [
     "loss_stereo",
     "loss_total",
     "make_separation_pair",
-    "make_speaker_array",
     "mix",
     "mono_and_diff",
     "nearest",

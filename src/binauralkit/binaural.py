@@ -12,9 +12,8 @@ the FIRs of packs and the matrices of arrays are read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -62,39 +61,39 @@ class BinauralSignal:
 
 @dataclass(frozen=True, eq=False)
 class SpeakerArray:
-    """Virtual speaker directions with the harmonic matrix and its pseudoinverse."""
+    """Virtual speaker directions; derives the 4 x M harmonic matrix and its
+    Moore-Penrose pseudoinverse, both read-only. Raises if fewer than four
+    speakers are given, the matrix is not of full row rank (the SVD-based
+    pseudoinverse is rank-revealing), or its condition number exceeds MAX_CONDITION."""
 
     directions: tuple[Direction, ...]
-    d_matrix: np.ndarray  # (4, M)
-    d_pinv: np.ndarray  # (M, 4)
+    d_matrix: np.ndarray = field(init=False)  # (4, M)
+    d_pinv: np.ndarray = field(init=False)  # (M, 4)
+
+    def __post_init__(self):
+        directions = tuple(self.directions)
+        if len(directions) < 4:
+            raise ValueError(f"need at least 4 speakers, got {len(directions)}")
+        d_matrix = np.stack([harmonic_vector(d) for d in directions], axis=1)
+        if np.linalg.matrix_rank(d_matrix) < 4:
+            raise ValueError("speaker layout is rank-deficient; spread the directions out")
+        cond = np.linalg.cond(d_matrix)
+        if cond > MAX_CONDITION:
+            raise ValueError(
+                f"speaker layout is ill-conditioned (condition number {cond:.3g} > "
+                f"{MAX_CONDITION:g}); spread the directions out"
+            )
+        d_pinv = np.linalg.pinv(d_matrix)
+        d_matrix.flags.writeable = d_pinv.flags.writeable = False
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "d_matrix", d_matrix)
+        object.__setattr__(self, "d_pinv", d_pinv)
 
 
-def make_speaker_array(directions: Sequence[Direction]) -> SpeakerArray:
-    """Build the 4 x M harmonic matrix and its Moore-Penrose pseudoinverse.
-
-    Raises if fewer than four speakers are given, the matrix is not of
-    full row rank (the SVD-based pseudoinverse is rank-revealing), or its
-    condition number exceeds MAX_CONDITION.
-    """
-    directions = tuple(directions)
-    if len(directions) < 4:
-        raise ValueError(f"need at least 4 speakers, got {len(directions)}")
-    d_matrix = np.stack([harmonic_vector(d) for d in directions], axis=1)
-    if np.linalg.matrix_rank(d_matrix) < 4:
-        raise ValueError("speaker layout is rank-deficient; spread the directions out")
-    cond = np.linalg.cond(d_matrix)
-    if cond > MAX_CONDITION:
-        raise ValueError(
-            f"speaker layout is ill-conditioned (condition number {cond:.3g} > "
-            f"{MAX_CONDITION:g}); spread the directions out"
-        )
-    d_pinv = np.linalg.pinv(d_matrix)
-    d_matrix.flags.writeable = d_pinv.flags.writeable = False
-    return SpeakerArray(directions, d_matrix, d_pinv)
-
-
+@cache
 def default_speaker_array() -> SpeakerArray:
-    return make_speaker_array(
+    """The default 8-speaker frontal arc, one shared instance."""
+    return SpeakerArray(
         [Direction(az, el) for az, el in zip(_DEFAULT_AZIMUTHS, _DEFAULT_ELEVATIONS)]
     )
 

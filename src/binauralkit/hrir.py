@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class HrirEntry:
     direction: Direction
     left_fir: np.ndarray
     right_fir: np.ndarray
-    sample_rate: int
 
     def __post_init__(self):
         for name in ("left_fir", "right_fir"):
@@ -46,8 +47,6 @@ class HrirEntry:
                 raise ValueError(f"{name} contains non-finite taps")
             taps.flags.writeable = False
             object.__setattr__(self, name, taps)
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +59,8 @@ class HrirPack:
         object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) == 0:
             raise ValueError("an HRIR pack needs at least one entry")
-        rates = {e.sample_rate for e in self.entries} | {self.sample_rate}
-        if len(rates) != 1:
-            raise ValueError(f"sample rates differ within the pack: {sorted(rates)}")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         seen = set()
         for e in self.entries:
             key = (e.direction.azimuth, e.direction.elevation)
@@ -98,7 +96,6 @@ def synth_pack(
     ild_db: float = 6.0,
     sample_rate: int = 16000,
     contra_lowpass_hz: float | None = CONTRA_LOWPASS_HZ,
-    name: str = "synthetic",
 ) -> HrirPack:
     """Generate a deterministic horizontal-ring pack of simplified HRIRs.
 
@@ -152,8 +149,8 @@ def synth_pack(
         else:
             left[base] = 1.0
             right[base] = 1.0
-        entries.append(HrirEntry(direction, left, right, sample_rate))
-    return HrirPack(tuple(entries), sample_rate, name=name)
+        entries.append(HrirEntry(direction, left, right))
+    return HrirPack(tuple(entries), sample_rate, name="synthetic")
 
 
 def save_pack(pack: HrirPack, path) -> None:
@@ -178,15 +175,39 @@ def save_pack(pack: HrirPack, path) -> None:
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 
-_ENTRY_KEYS = ("left", "right", "azimuth_deg", "elevation_deg")
-
-
 def require_keys(obj, keys, where) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{where} is missing required key {key!r}")
+
+
+@contextmanager
+def _naming(where):
+    """Re-raise an input error as a ValueError whose message starts with `where`."""
+    try:
+        yield
+    except (ValueError, TypeError, OSError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _from_json(value, hint):
+    """The JSON value of a field annotated `hint`; an int serves for a float."""
+    if hasattr(hint, "from_dict"):
+        return hint.from_dict(value)
+    is_list = get_origin(hint) is tuple
+    if is_list and type(value) is list:
+        return tuple(_from_json(v, get_args(hint)[0]) for v in value)
+    if type(value) is hint or type(value) is int and hint is float:
+        return hint(value)
+    raise ValueError(f"expected {'a list' if is_list else hint.__name__}, got {value!r}")
+
+
+def _json_key(obj: dict, key: str, hint, where):
+    """obj[key] read by `_from_json`; an error names the key and `where`."""
+    with _naming(f"{key} in {where}"):
+        return _from_json(obj[key], hint)
 
 
 def load_pack(path) -> HrirPack:
@@ -198,34 +219,40 @@ def load_pack(path) -> HrirPack:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed index.json under {root}: {exc}") from exc
     require_keys(index, ("name", "sample_rate", "entries"), index_path)
-    name, raw_entries = index["name"], index["entries"]
+    name = _json_key(index, "name", str, index_path)
+    sample_rate = _json_key(index, "sample_rate", int, index_path)
+    raw_entries = index["entries"]
     if not isinstance(raw_entries, list):
         raise ValueError(f"{index_path}: entries must be a list, got {raw_entries!r}")
-    try:
-        sample_rate = int(index["sample_rate"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{index_path}: sample_rate is not an integer") from exc
 
     entries = []
     for i, raw in enumerate(raw_entries):
-        require_keys(raw, _ENTRY_KEYS, f"{index_path} entry {i}")
-        direction = Direction.from_degrees(raw["azimuth_deg"], raw["elevation_deg"])
+        where = f"{index_path} entry {i}"
+        require_keys(raw, ("left", "right", "azimuth_deg", "elevation_deg"), where)
+        az, el = (_json_key(raw, k, float, where) for k in ("azimuth_deg", "elevation_deg"))
+        with _naming(where):
+            direction = Direction.from_degrees(az, el)
         firs = []
         for ear in ("left", "right"):
-            rate, taps = wavio.read_wav(root / raw[ear], channels=1)
+            ref = _json_key(raw, ear, str, where)
+            rate, taps = wavio.read_wav(root / ref, channels=1)
             if rate != sample_rate:
-                raise ValueError(
-                    f"{raw[ear]} has sample rate {rate}, pack declares {sample_rate}"
-                )
+                raise ValueError(f"{ref} has sample rate {rate}, pack declares {sample_rate}")
             firs.append(taps)
-        entries.append(HrirEntry(direction, firs[0], firs[1], sample_rate))
-    return HrirPack(tuple(entries), sample_rate, name=name)
+        entries.append(HrirEntry(direction, firs[0], firs[1]))
+    with _naming(index_path):
+        return HrirPack(tuple(entries), sample_rate, name=name)
 
 
 def load_or_default_pack(path, sample_rate: int) -> HrirPack:
-    """The pack saved at `path`, or if it is None the synthetic pack at `sample_rate`."""
+    """The pack saved at `path`, which must be recorded at `sample_rate`, or if
+    `path` is None the synthetic pack at `sample_rate`."""
     if path is None and sample_rate <= 2 * CONTRA_LOWPASS_HZ:  # its low-pass must be < Nyquist
         raise ValueError(f"the synthetic HRIR pack needs a sample rate above "
                          f"{2 * CONTRA_LOWPASS_HZ:g} Hz, got {sample_rate}: give an HRIR pack, "
                          f"e.g. one made by `binauralkit hrir-synth --sample-rate {sample_rate}`")
-    return synth_pack(sample_rate=sample_rate) if path is None else load_pack(path)
+    pack = synth_pack(sample_rate=sample_rate) if path is None else load_pack(path)
+    if pack.sample_rate != sample_rate:
+        raise ValueError(f"the HRIR pack in {path} is recorded at {pack.sample_rate} Hz, "
+                         f"not at the audio's {sample_rate} Hz")
+    return pack

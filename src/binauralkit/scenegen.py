@@ -11,10 +11,10 @@ seed, so a (master_seed, index) pair fully determines each emitted byte.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Callable, Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from .binaural import (
     BinauralSignal,
     SpeakerArray,
     default_speaker_array,
-    make_speaker_array,
     render_ambisonic_hrir,
     write_binaural_wav,
 )
-from .hrir import HrirPack, load_or_default_pack, require_keys
+from .hrir import HrirPack, _json_key, _naming, load_or_default_pack, require_keys
 from .spherical import Direction
 from .visualmap import DEFAULT_FOV, FovConfig, direction_to_pixel, pixel_to_direction
 
@@ -37,6 +36,9 @@ DEFAULT_RATIOS = (0.4, 0.5, 0.1)
 DEFAULT_GAIN_RANGE = (0.5, 1.0)
 DEFAULT_DURATION_S = 0.63
 PATCH_BASE_HALF = 0.25  # half-extent of a unit-scale patch, normalized units
+_SCENE_FILE = re.compile(
+    r"scene_(\d{5}|[1-9]\d{5,})(\.json|_binaural\.wav|_mix\.wav|_src(0|[1-9]\d*)\.wav)"
+)
 
 Placement = Union[tuple, Direction]
 ClipStore = Union[Callable[[str], MonoSignal], Mapping[str, MonoSignal]]
@@ -289,27 +291,6 @@ class DatasetConfig:
         _check_sampling(self.pool, self.ratios, self.gain_range)
 
 
-def _from_json(value, hint):
-    """The JSON value of a DatasetConfig field annotated `hint`."""
-    if hint is FovConfig:
-        return FovConfig.from_dict(value)
-    is_list = get_origin(hint) is tuple
-    if is_list and type(value) is list:
-        return tuple(_from_json(v, get_args(hint)[0]) for v in value)
-    if type(value) is hint or type(value) is int and hint is float:
-        return hint(value)
-    raise ValueError(f"expected {'a list' if is_list else hint.__name__}, got {value!r}")
-
-
-@contextmanager
-def _naming(where):
-    """Re-raise a config error as a ValueError whose message starts with `where`."""
-    try:
-        yield
-    except (ValueError, TypeError, OSError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, SpeakerArray]:
     """Read a dataset config JSON into the arguments of `gen_dataset`.
 
@@ -333,17 +314,16 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
     values = {}
     for name, hint in hints.items():
         if name in required or raw.get(name) is not None:
-            with _naming(f"{name} in {path}"):
-                values[name] = _from_json(raw[name], hint)
+            values[name] = _json_key(raw, name, hint, path)
     values["output_dir"] = str(root / values["output_dir"])
     with _naming(path):
         config = DatasetConfig(**values)
+    pack_dir = None if raw.get("pack") is None else root / _json_key(raw, "pack", str, path)
     with _naming(f"pack in {path}"):
-        pack_dir = None if raw.get("pack") is None else root / _from_json(raw["pack"], str)
         pack = load_or_default_pack(pack_dir, config.sample_rate)
     with _naming(f"array in {path}"):
         speakers = raw.get("array")
-        arr = default_speaker_array() if speakers is None else make_speaker_array(
+        arr = default_speaker_array() if speakers is None else SpeakerArray(
             [Direction.from_degrees(az, el) for az, el in speakers]
         )
     store = WavStore(root)
@@ -363,12 +343,14 @@ def gen_dataset(
 
     Every scene is derived from (master_seed, index) alone, so any
     synthesis scheduling produces the same files. The manifest is written
-    only after all scenes complete; a failing scene writes FAILED instead,
-    and a run removes the FAILED of an earlier one as it starts.
+    only after all scenes complete; a failing scene writes FAILED instead.
+    A run first removes the FAILED, manifest and scene files of an earlier one.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "FAILED").unlink(missing_ok=True)
+    for p in out.iterdir():
+        if p.name in ("FAILED", "manifest.json") or _SCENE_FILE.fullmatch(p.name):
+            p.unlink()
     manifest = []
     for i in range(config.count):
         try:
@@ -386,21 +368,13 @@ def gen_dataset(
             (out / "FAILED").write_text(f"scene {i} failed: {exc}\n")
             raise RuntimeError(f"scene {i} failed: {exc}") from exc
         stem = f"scene_{i:05d}"
-        scene_json = f"{stem}.json"
-        binaural_wav = f"{stem}_binaural.wav"
-        mono_wav = f"{stem}_mix.wav"
-        (out / scene_json).write_text(json.dumps(pair.metadata, indent=2, sort_keys=True))
-        write_binaural_wav(out / binaural_wav, pair.binaural)
-        wavio.write_wav(out / mono_wav, config.sample_rate, pair.mono_mix.samples)
+        item = {"index": i, "scene_json": f"{stem}.json",
+                "binaural_wav": f"{stem}_binaural.wav", "mono_wav": f"{stem}_mix.wav"}
+        (out / item["scene_json"]).write_text(json.dumps(pair.metadata, indent=2, sort_keys=True))
+        write_binaural_wav(out / item["binaural_wav"], pair.binaural)
+        wavio.write_wav(out / item["mono_wav"], config.sample_rate, pair.mono_mix.samples)
         for j, src in enumerate(pair.per_source_mono):
             wavio.write_wav(out / f"{stem}_src{j}.wav", config.sample_rate, src.samples)
-        manifest.append(
-            {
-                "index": i,
-                "scene_json": scene_json,
-                "binaural_wav": binaural_wav,
-                "mono_wav": mono_wav,
-            }
-        )
+        manifest.append(item)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

@@ -7,9 +7,9 @@ from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.binaural import (
     MAX_CONDITION,
     BinauralSignal,
+    SpeakerArray,
     decode_wy,
     default_speaker_array,
-    make_speaker_array,
     project_to_speakers,
     read_binaural_wav,
     render_ambisonic_hrir,
@@ -79,7 +79,7 @@ class TestDirectHrir:
     def test_identity_filters_pass_through(self):
         taps = np.array([1.0])
         pack_one = HrirPack(
-            (HrirEntry(Direction(0, 0), taps, taps.copy(), 16000),), 16000
+            (HrirEntry(Direction(0, 0), taps, taps.copy()),), 16000
         )
         impulse = np.zeros(64)
         impulse[0] = 1.0
@@ -128,29 +128,44 @@ class TestSpeakerArray:
         pairs = {(round(d.azimuth, 12), round(d.elevation, 12)) for d in dirs}
         assert {(-az, el) for az, el in pairs} == pairs
 
+    def test_default_array_is_one_shared_instance(self):
+        assert default_speaker_array() is default_speaker_array()
+
+    def test_matrices_are_derived_not_given(self):
+        arr = default_speaker_array()
+        with pytest.raises(TypeError):
+            SpeakerArray(arr.directions, arr.d_matrix, arr.d_pinv)
+
+    def test_built_array_is_frozen(self):
+        arr = SpeakerArray(tetrahedral_directions())
+        assert isinstance(arr.directions, tuple)
+        for matrix in (arr.d_matrix, arr.d_pinv):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[:] = 0.0
+
     def test_tetrahedral_square_array_inverts(self):
-        arr = make_speaker_array(tetrahedral_directions())
+        arr = SpeakerArray(tetrahedral_directions())
         np.testing.assert_allclose(arr.d_pinv, np.linalg.inv(arr.d_matrix), atol=1e-9)
 
     def test_identical_directions_rejected(self):
         with pytest.raises(ValueError, match="rank"):
-            make_speaker_array([Direction(0.3, 0.0)] * 8)
+            SpeakerArray([Direction(0.3, 0.0)] * 8)
 
     def test_coplanar_ring_rejected(self):
         # all-horizon speakers zero the Z harmonic row
         with pytest.raises(ValueError, match="rank"):
-            make_speaker_array(
+            SpeakerArray(
                 [Direction(az, 0.0) for az in np.linspace(-1.5, 1.5, 8)]
             )
 
     def test_too_few_speakers_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
-            make_speaker_array([Direction(0, 0)] * 3)
+            SpeakerArray([Direction(0, 0)] * 3)
 
     def test_nearly_singular_layout_rejected(self):
         # full rank, but condition number 3.8e5 and decoder gains of 6.4e4
         with pytest.raises(ValueError, match="ill-conditioned"):
-            make_speaker_array([
+            SpeakerArray([
                 Direction(0.0, 0.0), Direction(0.0, 1.25), Direction(0.5, 0.0),
                 Direction(0.0, 0.0), Direction(6.103515625e-05, 0.0),
             ])
@@ -168,7 +183,7 @@ class TestSpeakerArray:
             az[1] = az[0] + gap * math.cos(turn)
             el[1] = np.clip(el[0] + gap * math.sin(turn), -math.pi / 2, math.pi / 2)
             try:
-                arr = make_speaker_array([Direction(a, e) for a, e in zip(az, el)])
+                arr = SpeakerArray([Direction(a, e) for a, e in zip(az, el)])
             except ValueError:
                 continue
             conds.append(np.linalg.cond(arr.d_matrix))
@@ -214,7 +229,7 @@ class TestProjection:
 
     def test_square_array_concentrates_on_source_speaker(self, noise):
         dirs = tetrahedral_directions()
-        arr = make_speaker_array(dirs)
+        arr = SpeakerArray(dirs)
         b = encode(noise, dirs[2])
         feeds = project_to_speakers(b, arr)
         expected = np.linalg.inv(arr.d_matrix) @ harmonic_vector(dirs[2])

@@ -12,6 +12,7 @@ import binauralkit
 from binauralkit import wavio
 from binauralkit.binaural import default_speaker_array
 from binauralkit.cli import main
+from binauralkit.hrir import save_pack, synth_pack
 from binauralkit.scenegen import DatasetConfig, load_dataset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -435,6 +436,13 @@ class TestDataset:
         self.write_config(tmp_path, self.make_pool(tmp_path), sample_rate=8000)
         self.assert_fails_before_work(
             tmp_path, capsys, "pack in", "above 12000 Hz, got 8000: give an HRIR pack"
+        )
+
+    def test_pack_at_another_rate_fails_before_work(self, tmp_path, capsys):
+        save_pack(synth_pack(n_azimuths=4, sample_rate=44100), tmp_path / "pack44")
+        self.write_config(tmp_path, self.make_pool(tmp_path), pack="pack44")
+        self.assert_fails_before_work(
+            tmp_path, capsys, "pack in", str(tmp_path / "pack44"), "44100 Hz", "16000 Hz"
         )
 
     def test_null_optional_keys_take_the_defaults(self, tmp_path):

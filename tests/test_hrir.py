@@ -18,9 +18,9 @@ from binauralkit.hrir import (
 from binauralkit.spherical import Direction
 
 
-def entry_at(az_deg, el_deg, tap=1.0, sr=16000):
+def entry_at(az_deg, el_deg, tap=1.0):
     taps = np.array([tap, 0.0])
-    return HrirEntry(Direction.from_degrees(az_deg, el_deg), taps, taps.copy(), sr)
+    return HrirEntry(Direction.from_degrees(az_deg, el_deg), taps, taps.copy())
 
 
 class TestPackValidation:
@@ -28,9 +28,15 @@ class TestPackValidation:
         with pytest.raises(ValueError):
             HrirPack((), 16000)
 
-    def test_rejects_mixed_rates(self):
-        with pytest.raises(ValueError):
-            HrirPack((entry_at(0, 0, sr=16000), entry_at(10, 0, sr=44100)), 16000)
+    @pytest.mark.parametrize("sample_rate", [0, -16000])
+    def test_rejects_non_positive_rate(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            HrirPack((entry_at(0, 0),), sample_rate)
+
+    def test_entry_takes_no_rate(self):
+        # the pack's sample_rate is the one rate of its entries
+        with pytest.raises(TypeError):
+            HrirEntry(Direction(0, 0), np.ones(1), np.ones(1), 16000)
 
     def test_rejects_duplicate_directions(self):
         with pytest.raises(ValueError):
@@ -38,14 +44,14 @@ class TestPackValidation:
 
     def test_entry_copies_the_callers_filters(self):
         taps = np.array([1.0, 0.5])
-        entry = HrirEntry(Direction(0, 0), taps, taps, 16000)
+        entry = HrirEntry(Direction(0, 0), taps, taps)
         taps[0] = 2.0  # the caller's array stays writeable
         assert entry.left_fir[0] == entry.right_fir[0] == 1.0
         assert not entry.left_fir.flags.writeable
 
     def test_rejects_empty_filter(self):
         with pytest.raises(ValueError):
-            HrirEntry(Direction(0, 0), np.array([]), np.array([1.0]), 16000)
+            HrirEntry(Direction(0, 0), np.array([]), np.array([1.0]))
 
 
 class TestGreatCircle:
@@ -243,6 +249,28 @@ class TestPackIO:
         with pytest.raises(ValueError, match="sample rate"):
             load_pack(tmp_path)
 
+    @pytest.mark.parametrize("entry, change, message", [
+        (1, {"azimuth_deg": "ninety"}, "azimuth_deg in {index} entry 1: expected float, got 'ninety'"),
+        (1, {"azimuth_deg": None}, "azimuth_deg in {index} entry 1: expected float, got None"),
+        (1, {"elevation_deg": 100}, "{index} entry 1: elevation 1.745"),
+        (1, {"left": 5}, "left in {index} entry 1: expected str, got 5"),
+        (1, {"azimuth_deg": 0}, "{index}: duplicate direction in pack"),
+        (None, {"name": 3}, "name in {index}: expected str, got 3"),
+        (None, {"sample_rate": 16000.7}, "sample_rate in {index}: expected int, got 16000.7"),
+        (None, {"sample_rate": "16000"}, "sample_rate in {index}: expected int, got '16000'"),
+        (None, {"sample_rate": True}, "sample_rate in {index}: expected int, got True"),
+    ])
+    def test_malformed_index_value_is_named(self, tmp_path, entry, change, message):
+        wavio.write_wav(tmp_path / "l.wav", 16000, np.array([1.0]))
+        wavio.write_wav(tmp_path / "r.wav", 16000, np.array([1.0]))
+        e = {"azimuth_deg": 0, "elevation_deg": 0, "left": "l.wav", "right": "r.wav"}
+        index = {"name": "bad", "sample_rate": 16000, "entries": [e, dict(e, azimuth_deg=90)]}
+        (index if entry is None else index["entries"][entry]).update(change)
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError) as info:
+            load_pack(tmp_path)
+        assert str(info.value).startswith(message.format(index=tmp_path / "index.json"))
+
     def test_duplicate_directions_rejected_on_load(self, tmp_path):
         wavio.write_wav(tmp_path / "l.wav", 16000, np.array([1.0]))
         wavio.write_wav(tmp_path / "r.wav", 16000, np.array([1.0]))
@@ -265,6 +293,14 @@ class TestDefaultPack:
         for a, b in zip(pack.entries, ref.entries):
             np.testing.assert_array_equal(a.left_fir, b.left_fir)
             np.testing.assert_array_equal(a.right_fir, b.right_fir)
+
+    def test_saved_pack_at_another_rate_is_rejected(self, tmp_path):
+        save_pack(synth_pack(n_azimuths=4, sample_rate=44100), tmp_path)
+        with pytest.raises(ValueError) as info:
+            load_or_default_pack(tmp_path, 16000)
+        assert str(info.value) == (
+            f"the HRIR pack in {tmp_path} is recorded at 44100 Hz, not at the audio's 16000 Hz"
+        )
 
     def test_saved_pack_needs_no_rate_rule(self, tmp_path):
         save_pack(synth_pack(n_azimuths=4, sample_rate=8000, contra_lowpass_hz=None), tmp_path)

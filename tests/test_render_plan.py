@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from binauralkit.ambisonic import MonoSignal, encode, mix
 from binauralkit.binaural import (
+    SpeakerArray,
     _ear_filters,
     _smooth_length,
     default_speaker_array,
     fft_convolve,
-    make_speaker_array,
     project_to_speakers,
     render_ambisonic_hrir,
 )
@@ -76,7 +76,7 @@ def mixed_scene(sources, n, seed, sample_rate):
 
 def speaker_array_or_reject(speakers):
     try:
-        return make_speaker_array([Direction(az, el) for az, el in speakers])
+        return SpeakerArray([Direction(az, el) for az, el in speakers])
     except ValueError:  # rank-deficient or ill-conditioned draw
         assume(False)
 
@@ -92,7 +92,7 @@ def uneven_pack(seed, sample_rate=16000):
             n_right += 1
         entries.append(HrirEntry(
             Direction(-math.pi + k * math.pi / 3, float(rng.uniform(-1.2, 1.2))),
-            rng.normal(size=n_left), rng.normal(size=n_right), sample_rate,
+            rng.normal(size=n_left), rng.normal(size=n_right),
         ))
     return HrirPack(tuple(entries), sample_rate, name="uneven")
 
@@ -149,7 +149,7 @@ class TestEquivalence:
         # n + taps - 2 = 128 is 5-smooth, so an FFT one sample too short
         # would fold the last full-convolution sample onto the first
         taps = np.arange(1.0, 29.0)
-        pack = HrirPack((HrirEntry(Direction(0, 0), taps, taps[::-1].copy(), 16000),), 16000)
+        pack = HrirPack((HrirEntry(Direction(0, 0), taps, taps[::-1].copy()),), 16000)
         b = mixed_scene([(0.4, 0.2)], 128 - len(taps) + 2, 3, 16000)
         assert_matches_oracle(b, default_speaker_array(), pack)
 
@@ -159,7 +159,7 @@ class TestEarFilterCache:
         packs = (synth_pack(n_azimuths=24, ild_db=6.0), synth_pack(n_azimuths=8, ild_db=18.0))
         arrays = (
             default_speaker_array(),
-            make_speaker_array([Direction(az, el) for az, el in TETRAHEDRON]),
+            SpeakerArray([Direction(az, el) for az, el in TETRAHEDRON]),
         )
         b = mixed_scene([(0.7, 0.2), (-1.1, -0.3)], 400, 9, 16000)
         outputs = {}

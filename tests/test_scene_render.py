@@ -22,9 +22,9 @@ from binauralkit import scenegen
 from binauralkit.ambisonic import MonoSignal, encode, seconds_to_samples
 from binauralkit.binaural import (
     BinauralSignal,
+    SpeakerArray,
     _ear_filters,
     default_speaker_array,
-    make_speaker_array,
     render_ambisonic_hrir,
 )
 from binauralkit.hrir import synth_pack
@@ -164,7 +164,7 @@ def make_array(kind):
     if kind == "default":
         return default_speaker_array()
     if kind == "tetrahedron":
-        return make_speaker_array([Direction(az, el) for az, el in TETRAHEDRON])
+        return SpeakerArray([Direction(az, el) for az, el in TETRAHEDRON])
     return speaker_array_or_reject(kind)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,31 @@ class TestGenDataset:
         gen_dataset(self.make_config(out), store, pack, arr)
         assert not (out / "FAILED").exists()
         assert (out / "manifest.json").is_file()
+
+    def test_smaller_rerun_replaces_the_earlier_scene_files(self, tmp_path, store, pack, arr):
+        out = tmp_path / "d"
+        gen_dataset(self.make_config(out, count=6), store, pack, arr)
+        others = ["notes.txt", "scene_1.json", "scene_00001_extra.wav", "scene_00001_src.wav"]
+        for name in others:
+            (out / name).write_text("keep")
+        gen_dataset(self.make_config(out, count=2), store, pack, arr)
+        gen_dataset(self.make_config(tmp_path / "fresh", count=2), store, pack, arr)
+        for name in others:
+            assert (out / name).read_text() == "keep"  # not a name gen_dataset writes
+            (out / name).unlink()
+        assert dir_digest(out) == dir_digest(tmp_path / "fresh")
+
+    def test_failing_rerun_removes_the_earlier_manifest(self, tmp_path, store, pack, arr):
+        broken = {"clip0": MonoSignal(np.ones(100), SR)}  # other refs missing
+        out = tmp_path / "f"
+        gen_dataset(self.make_config(out, count=8), store, pack, arr)
+        with pytest.raises(RuntimeError) as info:
+            gen_dataset(self.make_config(out, count=8), broken, pack, arr)
+        failed = int(re.search(r"scene (\d+)", str(info.value)).group(1))
+        assert not (out / "manifest.json").exists()
+        assert (out / "FAILED").is_file()
+        written = {p.name[:11] for p in out.iterdir() if p.name != "FAILED"}
+        assert written == {f"scene_{i:05d}" for i in range(failed)}
 
     def test_scene_seed_is_stable(self):
         assert scene_seed(1, 0) == scene_seed(1, 0)

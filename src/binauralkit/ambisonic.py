@@ -12,7 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import wavio
 from .spherical import Direction, harmonic_vector
 
 DEFAULT_SAMPLE_RATE = 16000
@@ -105,13 +104,3 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     for p in parts:
         out[:, : p.n_samples] += p.channels()
     return BFormat(out[0], out[1], out[2], out[3], sample_rate=parts[0].sample_rate)
-
-
-def write_bformat_wav(path, b: BFormat, fmt: str = "float32") -> None:
-    """Export as a 4-channel WAV in W,X,Y,Z order."""
-    wavio.write_wav(path, b.sample_rate, b.channels().T, fmt=fmt)
-
-
-def read_bformat_wav(path) -> BFormat:
-    sample_rate, data = wavio.read_wav(path, channels=4)
-    return BFormat(data[:, 0], data[:, 1], data[:, 2], data[:, 3], sample_rate=sample_rate)

@@ -24,7 +24,7 @@ from .binaural import (
     render_direct_hrir,
     write_binaural_wav,
 )
-from .hrir import CONTRA_LOWPASS_HZ, load_or_default_pack, load_pack, save_pack, synth_pack
+from .hrir import load_or_default_pack, load_pack, save_pack, synth_pack
 from .metrics import DEFAULT_HOP_S, DEFAULT_WINDOW_S, evaluate
 from .scenegen import gen_dataset, load_dataset_config
 from .spherical import Direction
@@ -40,17 +40,11 @@ def _read_mono(path) -> MonoSignal:
 
 def _resolve_direction(args) -> Direction:
     if args.pixel is not None:
-        if args.azimuth_deg is not None or args.zenith_deg is not None:
+        if args.azimuth_deg is not None or args.elevation_deg is not None:
             raise ValueError("give either --pixel or angle flags, not both")
         return pixel_to_direction(args.pixel[0], args.pixel[1], DEFAULT_FOV)
     if args.azimuth_deg is None:
         raise ValueError("a direction is required: --pixel U V or --azimuth-deg A")
-    if args.zenith_deg is not None:
-        if args.elevation_deg is not None:
-            raise ValueError("give either --elevation-deg or --zenith-deg, not both")
-        return Direction.from_zenith(
-            math.radians(args.azimuth_deg), math.radians(args.zenith_deg)
-        )
     return Direction.from_degrees(args.azimuth_deg, args.elevation_deg or 0.0)
 
 
@@ -131,17 +125,12 @@ def cmd_compare_decoders(args) -> int:
 
 
 def cmd_hrir_synth(args) -> int:
-    lowpass_hz = CONTRA_LOWPASS_HZ if args.sample_rate > 2 * CONTRA_LOWPASS_HZ else None
     pack = synth_pack(
         n_azimuths=args.n_azimuths,
         head_radius=args.head_radius,
         ild_db=args.ild_db,
         sample_rate=args.sample_rate,
-        contra_lowpass_hz=lowpass_hz,
     )
-    if lowpass_hz is None:
-        print(f"left out the {CONTRA_LOWPASS_HZ:g} Hz far-ear low-pass: it needs a sample "
-              f"rate above {2 * CONTRA_LOWPASS_HZ:g} Hz")
     save_pack(pack, args.out_dir)
     reloaded = load_pack(args.out_dir)
     if len(reloaded.entries) != len(pack.entries):
@@ -153,10 +142,6 @@ def cmd_hrir_synth(args) -> int:
 def _add_direction_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--azimuth-deg", type=float, default=None, help="source azimuth, degrees")
     p.add_argument("--elevation-deg", type=float, default=None, help="source elevation, degrees")
-    p.add_argument(
-        "--zenith-deg", type=float, default=None,
-        help="zenith angle, degrees (alternative to --elevation-deg)",
-    )
     p.add_argument(
         "--pixel", type=float, nargs=2, metavar=("U", "V"), default=None,
         help="normalized image position, u and v in [-1, 1]",

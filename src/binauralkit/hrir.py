@@ -8,8 +8,9 @@ per direction::
                   "left": "d000_L.wav", "right": "d000_R.wav"}, ...]}
 
 Synthetic packs model a spherical head: Woodworth arrival-time offsets,
-a configurable broadside level difference, and a one-pole low-pass that
-shadows the far ear.
+a configurable broadside level difference, and a one-pole low-pass at
+``CONTRA_LOWPASS_HZ`` that shadows the far ear when that corner lies below
+Nyquist (a rate above 12 kHz); at lower rates the far ear is one tap.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def synth_pack(
     head_radius: float = 0.0875,
     ild_db: float = 6.0,
     sample_rate: int = 16000,
-    contra_lowpass_hz: float | None = CONTRA_LOWPASS_HZ,
 ) -> HrirPack:
     """Generate a deterministic horizontal-ring pack of simplified HRIRs.
 
     Each filter is a delayed, scaled impulse. Arrival-time offsets follow
     the Woodworth spherical-head model; the level split reaches ild_db at
-    full broadside and the far ear is optionally smoothed by a one-pole
-    low-pass (unit DC gain, so filter-tap sums read back the level split
-    exactly).
+    full broadside. The far ear is smoothed by a one-pole low-pass at
+    CONTRA_LOWPASS_HZ (unit DC gain, so filter-tap sums read back the level
+    split exactly) when that corner is below Nyquist, i.e. at a sample rate
+    above 12 kHz; at 12 kHz and below it is left out.
     """
     if n_azimuths < 2:
         raise ValueError(f"n_azimuths must be at least 2, got {n_azimuths}")
@@ -113,13 +114,11 @@ def synth_pack(
         raise ValueError(f"ild_db must be non-negative, got {ild_db}")
     if sample_rate <= 0:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-    if contra_lowpass_hz is not None and not 0 < contra_lowpass_hz < sample_rate / 2:
-        raise ValueError("contra_lowpass_hz must lie inside (0, Nyquist)")
 
     itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
     base = int(math.ceil(itd_max * sample_rate / 2)) + 1
-    if contra_lowpass_hz is not None:
-        pole = math.exp(-2 * math.pi * contra_lowpass_hz / sample_rate)
+    if CONTRA_LOWPASS_HZ < sample_rate / 2:
+        pole = math.exp(-2 * math.pi * CONTRA_LOWPASS_HZ / sample_rate)
         n_tail = max(1, int(math.ceil(math.log(1e-12) / math.log(pole))))
         lowpass = (1 - pole) * pole ** np.arange(n_tail)
         lowpass /= lowpass.sum()
@@ -247,10 +246,6 @@ def load_pack(path) -> HrirPack:
 def load_or_default_pack(path, sample_rate: int) -> HrirPack:
     """The pack saved at `path`, which must be recorded at `sample_rate`, or if
     `path` is None the synthetic pack at `sample_rate`."""
-    if path is None and sample_rate <= 2 * CONTRA_LOWPASS_HZ:  # its low-pass must be < Nyquist
-        raise ValueError(f"the synthetic HRIR pack needs a sample rate above "
-                         f"{2 * CONTRA_LOWPASS_HZ:g} Hz, got {sample_rate}: give an HRIR pack, "
-                         f"e.g. one made by `binauralkit hrir-synth --sample-rate {sample_rate}`")
     pack = synth_pack(sample_rate=sample_rate) if path is None else load_pack(path)
     if pack.sample_rate != sample_rate:
         raise ValueError(f"the HRIR pack in {path} is recorded at {pack.sample_rate} Hz, "

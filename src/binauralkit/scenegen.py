@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union, get_type_hints
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .binaural import (
 )
 from .hrir import HrirPack, _json_key, _naming, load_or_default_pack, require_keys
 from .spherical import Direction
-from .visualmap import DEFAULT_FOV, FovConfig, direction_to_pixel, pixel_to_direction
+from .visualmap import DEFAULT_FOV, FovConfig, pixel_to_direction
 
 MAX_SOURCES = 3
 DEFAULT_RATIOS = (0.4, 0.5, 0.1)
@@ -40,26 +40,23 @@ _SCENE_FILE = re.compile(
     r"scene_(\d{5}|[1-9]\d{5,})(\.json|_binaural\.wav|_mix\.wav|_src(0|[1-9]\d*)\.wav)"
 )
 
-Placement = Union[tuple, Direction]
-ClipStore = Union[Callable[[str], MonoSignal], Mapping[str, MonoSignal]]
+ClipStore = Mapping[str, MonoSignal]
 
 
 @dataclass(frozen=True)
 class SceneSource:
-    """One source of a pseudo scene: a clip reference, a placement
-    (normalized pixel pair or explicit Direction), and a gain that stands
-    in for 1/depth."""
+    """One source of a pseudo scene: a clip reference, a placement as a
+    normalized pixel pair (u, v), and a gain that stands in for 1/depth."""
 
     audio_ref: str
-    placement: Placement
+    placement: tuple[float, float]
     gain: float = 1.0
 
     def __post_init__(self):
         if self.gain < 0:
             raise ValueError(f"gain must be non-negative, got {self.gain}")
-        if not isinstance(self.placement, Direction):
-            u, v = self.placement
-            object.__setattr__(self, "placement", (float(u), float(v)))
+        u, v = self.placement
+        object.__setattr__(self, "placement", (float(u), float(v)))
 
 
 @dataclass(frozen=True)
@@ -97,16 +94,11 @@ def normalize_amplitude(s: MonoSignal) -> MonoSignal:
 
 def resolve_placement(source: SceneSource, fov: FovConfig) -> tuple[float, float, Direction]:
     """(u, v, direction) for a source; raises if it falls outside the FOV."""
-    if isinstance(source.placement, Direction):
-        u, v = direction_to_pixel(source.placement, fov)
-        return u, v, source.placement
     u, v = source.placement
     return u, v, pixel_to_direction(u, v, fov)
 
 
 def _fetch(store: ClipStore, ref: str) -> MonoSignal:
-    if callable(store):
-        return store(ref)
     try:
         return store[ref]
     except KeyError as exc:
@@ -119,7 +111,7 @@ class WavStore:
     def __init__(self, root=None):
         self.root = Path(root or "")
 
-    def __call__(self, ref: str) -> MonoSignal:
+    def __getitem__(self, ref: str) -> MonoSignal:
         sample_rate, data = wavio.read_wav(self.root / ref, channels=1)
         return MonoSignal(data, sample_rate)
 
@@ -321,15 +313,16 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
     pack_dir = None if raw.get("pack") is None else root / _json_key(raw, "pack", str, path)
     with _naming(f"pack in {path}"):
         pack = load_or_default_pack(pack_dir, config.sample_rate)
-    with _naming(f"array in {path}"):
-        speakers = raw.get("array")
-        arr = default_speaker_array() if speakers is None else SpeakerArray(
-            [Direction.from_degrees(az, el) for az, el in speakers]
-        )
+    if raw.get("array") is None:
+        arr = default_speaker_array()
+    else:
+        speakers = _json_key(raw, "array", tuple[tuple[float, float], ...], path)
+        with _naming(f"array in {path}"):
+            arr = SpeakerArray([Direction.from_degrees(az, el) for az, el in speakers])
     store = WavStore(root)
     for ref in config.pool:  # kept as written; the returned store resolves them
         with _naming(f"pool clip {ref!r} in {path}"):
-            rate = store(ref).sample_rate
+            rate = store[ref].sample_rate
             if rate != config.sample_rate:
                 raise ValueError(f"sample rate {rate}, but the config's sample_rate is "
                                  f"{config.sample_rate}")

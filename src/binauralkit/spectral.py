@@ -10,10 +10,8 @@ config validates at construction.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -236,34 +234,3 @@ def loss_separation(
 def loss_total(stereo: float, sep: float, lambda_sep: float = 1.0) -> float:
     """Combined objective: stereo + lambda_sep * sep."""
     return stereo + lambda_sep * sep
-
-
-SPEC_MAGIC = b"SPEC"
-
-
-def write_spectrogram(path, spec: Spectrogram) -> None:
-    """Flat binary export: 16-byte header (magic, F, T, sample_rate as
-    little-endian u32) then float32 (re, im) pairs, row-major."""
-    rows, cols = spec.shape
-    header = struct.pack("<4sIII", SPEC_MAGIC, rows, cols, spec.config.sample_rate)
-    interleaved = np.empty((rows, cols, 2), dtype="<f4")
-    interleaved[:, :, 0] = spec.bins.real
-    interleaved[:, :, 1] = spec.bins.imag
-    Path(path).write_bytes(header + interleaved.tobytes())
-
-
-def read_spectrogram(path) -> tuple[np.ndarray, int]:
-    """Read the flat binary format back as (complex bins, sample_rate)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise ValueError(f"{path} is too short to hold a spectrogram header")
-    magic, rows, cols, sample_rate = struct.unpack("<4sIII", raw[:16])
-    if magic != SPEC_MAGIC:
-        raise ValueError(f"{path} does not start with the SPEC magic")
-    expected = 16 + rows * cols * 2 * 4
-    if len(raw) != expected:
-        raise ValueError(f"{path} has {len(raw)} bytes, expected {expected}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols, 2)
-    return flat[:, :, 0].astype(np.float64) + 1j * flat[:, :, 1].astype(np.float64), int(
-        sample_rate
-    )

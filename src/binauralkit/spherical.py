@@ -44,11 +44,6 @@ class Direction:
     def from_degrees(cls, azimuth_deg: float, elevation_deg: float) -> "Direction":
         return cls(math.radians(azimuth_deg), math.radians(elevation_deg))
 
-    @classmethod
-    def from_zenith(cls, azimuth: float, zenith: float) -> "Direction":
-        """Build from a zenith angle (0 = straight up, pi/2 = horizon)."""
-        return cls(azimuth, HALF_PI - zenith)
-
 
 def _legendre(l: int, m: int, x):
     """P^m_l(x) for 0 <= m <= l, no phase factor; x is a float or a float64 ndarray.

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from binauralkit.ambisonic import (
-    BFormat,
-    MonoSignal,
-    encode,
-    mix,
-    read_bformat_wav,
-    write_bformat_wav,
-)
+from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.spherical import Direction
 
 
@@ -125,23 +118,3 @@ class TestMix:
         b44 = encode(MonoSignal(noise.samples, 44100), Direction(0.0, 0.0))
         with pytest.raises(ValueError):
             mix([b16, b44])
-
-
-class TestWavRoundTrip:
-    def test_bformat_wav(self, tmp_path, noise):
-        b = encode(noise, Direction(0.5, 0.2))
-        path = tmp_path / "b.wav"
-        write_bformat_wav(path, b)
-        back = read_bformat_wav(path)
-        assert back.sample_rate == b.sample_rate
-        for ch in ("w", "x", "y", "z"):
-            np.testing.assert_array_equal(
-                getattr(back, ch), getattr(b, ch).astype(np.float32).astype(np.float64)
-            )
-
-    def test_rejects_wrong_channel_count(self, tmp_path, noise):
-        from binauralkit import wavio
-
-        wavio.write_wav(tmp_path / "m.wav", 16000, noise.samples)
-        with pytest.raises(ValueError):
-            read_bformat_wav(tmp_path / "m.wav")

@@ -12,7 +12,7 @@ import binauralkit
 from binauralkit import wavio
 from binauralkit.binaural import default_speaker_array
 from binauralkit.cli import main
-from binauralkit.hrir import save_pack, synth_pack
+from binauralkit.hrir import load_pack, save_pack, synth_pack
 from binauralkit.scenegen import DatasetConfig, load_dataset_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -56,14 +56,23 @@ class TestRender:
         captured = capsys.readouterr()
         assert "azimuth +60.000 deg" in captured.out
 
-    def test_zenith_flag(self, tmp_path, tone, capsys):
-        out = tmp_path / "out.wav"
+    def test_no_zenith_flag(self, tmp_path, tone, capsys):
         code = main([
-            "render", "--in", str(tone), "--out", str(out),
+            "render", "--in", str(tone), "--out", str(tmp_path / "out.wav"),
             "--decoder", "wy", "--azimuth-deg", "0", "--zenith-deg", "90",
         ])
-        assert code == 0
-        assert "elevation +0.000 deg" in capsys.readouterr().out
+        assert code == 2
+        assert "--zenith-deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("angle", [["--elevation-deg", "30"], ["--azimuth-deg", "30"]],
+                             ids=["elevation", "azimuth"])
+    def test_pixel_with_an_angle_flag_fails(self, tmp_path, tone, capsys, angle):
+        out = tmp_path / "out.wav"
+        code = main(["render", "--in", str(tone), "--out", str(out),
+                     "--decoder", "wy", "--pixel", "0", "0", *angle])
+        assert code == 1
+        assert "give either --pixel or angle flags, not both" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_output_bytes(self, tmp_path, tone):
         a, b = tmp_path / "a.wav", tmp_path / "b.wav"
@@ -89,15 +98,14 @@ class TestRender:
 
     @pytest.mark.parametrize("decoder", ["hrir", "ambisonic-hrir"])
     def test_low_rate_without_pack_fails(self, tmp_path, capsys, decoder):
+        # the synthetic pack leaves its far-ear low-pass out at 12 kHz and below
         tone = write_tone(tmp_path / "tone8k.wav", sr=8000)
         out = tmp_path / "x.wav"
         code = main(["render", "--in", str(tone), "--out", str(out),
-                     "--decoder", decoder, "--azimuth-deg", "0"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "above 12000 Hz, got 8000: give an HRIR pack" in err
-        assert not out.exists()
+                     "--decoder", decoder, "--azimuth-deg", "30"])
+        assert code == 0
+        rate, data = wavio.read_wav(out, channels=2)
+        assert rate == 8000 and np.abs(data[:, 0]).max() > np.abs(data[:, 1]).max()
 
 
 class TestHrirSynth:
@@ -107,8 +115,6 @@ class TestHrirSynth:
         assert code == 0
         index = json.loads((out / "index.json").read_text())
         assert len(index["entries"]) == 8
-        from binauralkit.hrir import load_pack
-
         assert len(load_pack(out).entries) == 8
 
     def test_invalid_head_radius_fails(self, tmp_path, capsys):
@@ -121,13 +127,8 @@ class TestHrirSynth:
         tone = write_tone(tmp_path / "tone8k.wav", sr=8000)
         out = tmp_path / "x.wav"
         render = ["render", "--in", str(tone), "--out", str(out), "--azimuth-deg", "30"]
-        assert main(render) == 1
-        assert "binauralkit hrir-synth --sample-rate 8000" in capsys.readouterr().err
         pack_dir = tmp_path / "pack8k"
         assert main(["hrir-synth", "--out-dir", str(pack_dir), "--sample-rate", "8000"]) == 0
-        assert "left out the 6000 Hz far-ear low-pass" in capsys.readouterr().out
-        from binauralkit.hrir import load_pack
-
         pack = load_pack(pack_dir)
         assert pack.sample_rate == 8000
         for entry in pack.entries:  # no low-pass tail: one tap per ear
@@ -136,6 +137,16 @@ class TestHrirSynth:
         rate, data = wavio.read_wav(out, channels=2)
         assert rate == 8000 and data.shape == (8000, 2)
         assert np.abs(data[:, 0]).max() > np.abs(data[:, 1]).max()  # +30 deg is on the left
+
+    def test_low_rate_pack_is_the_synthetic_pack(self, tmp_path):
+        assert main(["hrir-synth", "--out-dir", str(tmp_path), "--sample-rate", "8000"]) == 0
+        saved, ref = load_pack(tmp_path), synth_pack(sample_rate=8000)
+        assert len(saved.entries) == len(ref.entries)
+        for a, b in zip(saved.entries, ref.entries):  # save_pack stores float32
+            assert a.direction.azimuth == pytest.approx(b.direction.azimuth, abs=1e-12)
+            np.testing.assert_array_equal(a.left_fir, b.left_fir.astype(np.float32))
+            np.testing.assert_array_equal(a.right_fir, b.right_fir.astype(np.float32))
+            assert np.count_nonzero(b.left_fir) == np.count_nonzero(b.right_fir) == 1
 
 
 class TestEval:
@@ -419,6 +430,9 @@ class TestDataset:
             ("array", 5),
             ("pack", 5),
             ("fov", [0.5, 0.5, 0.5]),
+            # a well-conditioned array but for one entry's type
+            ("array", [[True, 20], [90, 0], [180, 0], [270, 0], [0, 60]]),
+            ("array", [["10", 20], [90, 0], [180, 0], [270, 0], [0, 60]]),
         ],
     )
     def test_bad_value_is_named(self, tmp_path, capsys, key, value):
@@ -433,10 +447,14 @@ class TestDataset:
         self.assert_fails_before_work(tmp_path, capsys)
 
     def test_low_rate_without_pack_fails_before_work(self, tmp_path, capsys):
-        self.write_config(tmp_path, self.make_pool(tmp_path), sample_rate=8000)
-        self.assert_fails_before_work(
-            tmp_path, capsys, "pack in", "above 12000 Hz, got 8000: give an HRIR pack"
-        )
+        # the synthetic pack leaves its far-ear low-pass out at 12 kHz and below
+        pool = [f"c{i}.wav" for i in range(3)]
+        for i, ref in enumerate(pool):
+            write_tone(tmp_path / ref, 0.1, 300.0 * (i + 1), sr=8000)
+        config = self.write_config(tmp_path, pool, sample_rate=8000, count=3)
+        assert main(["dataset", "--config", str(config)]) == 0
+        assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())) == 3
+        assert wavio.read_wav(tmp_path / "out" / "scene_00000_binaural.wav")[0] == 8000
 
     def test_pack_at_another_rate_fails_before_work(self, tmp_path, capsys):
         save_pack(synth_pack(n_azimuths=4, sample_rate=44100), tmp_path / "pack44")
@@ -474,7 +492,7 @@ class TestDataset:
             master_seed=7, count=100, pool=tuple(example["pool"]),
             output_dir=str(tmp_path / "out"),
         )
-        assert store(example["pool"][0]).n_samples == 10  # refs resolve beside the config
+        assert store[example["pool"][0]].n_samples == 10  # refs resolve beside the config
         assert pack.name == "synthetic"
         assert arr.directions == default_speaker_array().directions
 

@@ -157,9 +157,20 @@ class TestSynthPack:
             synth_pack(ild_db=-1.0)
 
     def test_no_lowpass_keeps_single_tap(self):
-        pack = synth_pack(n_azimuths=8, contra_lowpass_hz=None)
+        pack = synth_pack(n_azimuths=8, sample_rate=8000)
         e = nearest(pack, Direction(math.pi / 2, 0.0))
         assert np.count_nonzero(e.right_fir) == 1
+
+    @pytest.mark.parametrize("sample_rate, lowpass", [(12000, False), (12001, True)])
+    def test_far_ear_lowpass_needs_its_corner_below_nyquist(self, sample_rate, lowpass):
+        # the 6 kHz corner (CONTRA_LOWPASS_HZ) leaves a tail of taps above 12 kHz only
+        e = nearest(synth_pack(n_azimuths=8, sample_rate=sample_rate), Direction(math.pi / 2, 0.0))
+        assert np.count_nonzero(e.left_fir) == 1
+        assert (np.count_nonzero(e.right_fir) > 1) == lowpass
+
+    def test_lowpass_corner_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            synth_pack(contra_lowpass_hz=3000.0)
 
 
 class TestPackIO:
@@ -283,9 +294,11 @@ class TestPackIO:
 
 class TestDefaultPack:
     @pytest.mark.parametrize("sample_rate", [8000, 11025, 12000])
-    def test_synthetic_fallback_needs_a_rate_above_12_khz(self, sample_rate):
-        with pytest.raises(ValueError, match=f"above 12000 Hz, got {sample_rate}: give an HRIR pack"):
-            load_or_default_pack(None, sample_rate)
+    def test_synthetic_fallback_at_12_khz_and_below(self, sample_rate):
+        pack = load_or_default_pack(None, sample_rate)
+        assert pack.sample_rate == sample_rate
+        for e in pack.entries:  # no far-ear low-pass tail
+            assert np.count_nonzero(e.left_fir) == np.count_nonzero(e.right_fir) == 1
 
     def test_fallback_is_the_default_synthetic_pack(self):
         pack, ref = load_or_default_pack(None, 12001), synth_pack(sample_rate=12001)
@@ -303,5 +316,5 @@ class TestDefaultPack:
         )
 
     def test_saved_pack_needs_no_rate_rule(self, tmp_path):
-        save_pack(synth_pack(n_azimuths=4, sample_rate=8000, contra_lowpass_hz=None), tmp_path)
+        save_pack(synth_pack(n_azimuths=4, sample_rate=8000), tmp_path)
         assert load_or_default_pack(tmp_path, 8000).sample_rate == 8000

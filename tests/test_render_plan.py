@@ -108,24 +108,22 @@ class TestEquivalence:
         head_radius=st.floats(0.05, 0.12),
         ild_db=st.floats(0.0, 20.0),
         sample_rate=st.sampled_from([8000, 16000, 22050]),
-        lowpass_hz=st.one_of(st.none(), st.floats(200.0, 3900.0)),
     )
     @example(
         sources=[(0.3, 0.1)], n=1, seed=0, speakers=TETRAHEDRON,
-        n_azimuths=24, head_radius=0.0875, ild_db=6.0, sample_rate=16000, lowpass_hz=None,
+        n_azimuths=24, head_radius=0.0875, ild_db=6.0, sample_rate=8000,
     )
     @example(
         sources=[(1.2, 0.0), (-0.4, 0.5)], n=131, seed=1, speakers=TETRAHEDRON + [(0.0, 0.0)],
-        n_azimuths=7, head_radius=0.1, ild_db=12.0, sample_rate=22050, lowpass_hz=3000.0,
+        n_azimuths=7, head_radius=0.1, ild_db=12.0, sample_rate=22050,
     )
     def test_synth_packs_and_random_arrays(
         self, sources, n, seed, speakers, n_azimuths, head_radius, ild_db, sample_rate,
-        lowpass_hz,
     ):
         arr = speaker_array_or_reject(speakers)
         pack = synth_pack(
             n_azimuths=n_azimuths, head_radius=head_radius, ild_db=ild_db,
-            sample_rate=sample_rate, contra_lowpass_hz=lowpass_hz,
+            sample_rate=sample_rate,
         )
         assert_matches_oracle(mixed_scene(sources, n, seed, sample_rate), arr, pack)
 

@@ -139,9 +139,8 @@ scene_sources = st.lists(
 )
 packs = st.one_of(
     st.builds(
-        lambda n_az, radius, ild, lowpass_hz: ("synth", n_az, radius, ild, lowpass_hz),
+        lambda n_az, radius, ild: ("synth", n_az, radius, ild),
         st.integers(2, 36), st.floats(0.05, 0.12), st.floats(0.0, 20.0),
-        st.one_of(st.none(), st.floats(200.0, 3900.0)),
     ),
     st.builds(lambda seed: ("uneven", seed), st.integers(0, 2**32 - 1)),
 )
@@ -153,11 +152,8 @@ arrays = st.one_of(
 def make_pack(kind, sample_rate):
     if kind[0] == "uneven":
         return uneven_pack(kind[1], sample_rate)
-    _, n_az, radius, ild, lowpass_hz = kind
-    return synth_pack(
-        n_azimuths=n_az, head_radius=radius, ild_db=ild, sample_rate=sample_rate,
-        contra_lowpass_hz=lowpass_hz,
-    )
+    _, n_az, radius, ild = kind
+    return synth_pack(n_azimuths=n_az, head_radius=radius, ild_db=ild, sample_rate=sample_rate)
 
 
 def make_array(kind):
@@ -179,7 +175,7 @@ class TestEquivalence:
         sample_rate=st.sampled_from([8000, 16000, 22050]),
     )
     @example(
-        sources=[(0.3, 0.1, 1.0, 500)], n=400, seed=0, pack_kind=("synth", 24, 0.0875, 6.0, None),
+        sources=[(0.3, 0.1, 1.0, 500)], n=400, seed=0, pack_kind=("synth", 24, 0.0875, 6.0),
         array_kind="default", sample_rate=16000,
     )
     @example(

@@ -23,7 +23,7 @@ from binauralkit.scenegen import (
     synth_pseudo_pair,
 )
 from binauralkit.spherical import Direction
-from binauralkit.visualmap import DEFAULT_FOV
+from binauralkit.visualmap import DEFAULT_FOV, direction_to_pixel
 
 SR = 16000
 
@@ -78,6 +78,10 @@ class TestSceneTypes:
             SceneSpec(sources=())
         with pytest.raises(ValueError):
             SceneSpec(sources=(src,) * 4)
+
+    def test_placement_is_a_pixel_pair(self):
+        with pytest.raises(TypeError):
+            SceneSource("c", Direction(0.0, 0.0))
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
@@ -154,17 +158,19 @@ class TestSynthPseudoPair:
         np.testing.assert_array_equal(pair.mono_mix.samples[2:], 0.0)
 
     def test_explicit_direction_placement(self, store, pack, arr):
-        d = Direction(0.4, 0.1)
+        # a direction is placed by its pixel pair
+        placement = direction_to_pixel(Direction(0.4, 0.1))
         pair = synth_pseudo_pair(
-            scene([SceneSource("clip0", d)]), store, pack, arr
+            scene([SceneSource("clip0", placement)]), store, pack, arr
         )
         meta = pair.metadata["sources"][0]
         assert meta["azimuth_rad"] == pytest.approx(0.4)
+        assert meta["elevation_rad"] == pytest.approx(0.1)
         assert meta["u"] == pytest.approx(-0.4 / DEFAULT_FOV.theta_v0)
 
     def test_out_of_fov_direction_rejected(self, store, pack, arr):
-        spec = scene([SceneSource("clip0", Direction(math.pi / 2, 0.0))])
-        with pytest.raises(ValueError):
+        spec = scene([SceneSource("clip0", (1.5, 0.0))])  # azimuth -pi/2, past the border
+        with pytest.raises(ValueError, match="outside the"):
             synth_pseudo_pair(spec, store, pack, arr)
 
     def test_missing_clip_rejected(self, store, pack, arr):
@@ -378,17 +384,17 @@ class TestWavStore:
         from binauralkit import wavio
 
         wavio.write_wav(tmp_path / "x.wav", SR, np.array([0.1, -0.2, 0.3]))
-        sig = WavStore(tmp_path)("x.wav")
+        sig = WavStore(tmp_path)["x.wav"]
         assert sig.sample_rate == SR
         assert sig.n_samples == 3
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            WavStore(tmp_path)("missing.wav")
+            WavStore(tmp_path)["missing.wav"]
 
     def test_rejects_stereo_clip(self, tmp_path):
         from binauralkit import wavio
 
         wavio.write_wav(tmp_path / "st.wav", SR, np.zeros((10, 2)))
         with pytest.raises(ValueError, match="mono"):
-            WavStore(tmp_path)("st.wav")
+            WavStore(tmp_path)["st.wav"]

@@ -17,10 +17,8 @@ from binauralkit.spectral import (
     loss_total,
     mono_and_diff,
     oracle_mask,
-    read_spectrogram,
     reconstruct_lr,
     stft,
-    write_spectrogram,
 )
 
 SR = 16000
@@ -314,29 +312,3 @@ class TestLosses:
         assert loss_total(2.0, 3.0, 1.0) == 5.0
         assert loss_total(7.0, 100.0, 0.0) == 7.0
         assert loss_total(1.0, 2.0, 1.5) - loss_total(1.0, 2.0, 0.5) == pytest.approx(2.0)
-
-
-class TestBinaryExport:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(26)
-        spec = stft(mono(rng.normal(size=10080)))
-        path = tmp_path / "s.spec"
-        write_spectrogram(path, spec)
-        assert path.read_bytes()[:4] == b"SPEC"
-        assert path.stat().st_size == 16 + 257 * 64 * 8
-        bins, sample_rate = read_spectrogram(path)
-        assert sample_rate == SR
-        np.testing.assert_array_equal(bins.real, spec.bins.real.astype(np.float32))
-        np.testing.assert_array_equal(bins.imag, spec.bins.imag.astype(np.float32))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.spec"
-        path.write_bytes(b"JUNK" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="magic"):
-            read_spectrogram(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "short.spec"
-        path.write_bytes(b"SPEC")
-        with pytest.raises(ValueError):
-            read_spectrogram(path)

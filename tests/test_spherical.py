@@ -37,11 +37,6 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(0.0, float("nan"))
 
-    def test_from_zenith(self):
-        d = Direction.from_zenith(0.3, math.pi / 2)
-        assert d.elevation == pytest.approx(0.0)
-        assert Direction.from_zenith(0.0, 0.0).elevation == pytest.approx(math.pi / 2)
-
     @given(st.floats(-50.0, 50.0))
     def test_any_azimuth_lands_in_range(self, az):
         d = Direction(az, 0.0)

@@ -7,7 +7,7 @@ first-order encoding gains reduce to plain direction cosines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -25,31 +25,49 @@ def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:
     return int(n)
 
 
-def _as_channel(samples, name: str) -> np.ndarray:
-    """`samples` as a 1-D finite float64 array; a ValueError naming channel `name` if not."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} channel must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} channel contains non-finite samples")
-    return arr
+@dataclass(frozen=True, eq=False)
+class _Signal:
+    """Samples stored once as `data`, a read-only float64 (channels, n) block.
+
+    Each subclass declares its channels as fields before `sample_rate`; after
+    the check each channel field is a row view of `data`. One channel views
+    float64 input without copying (the caller's array stays writeable);
+    several are stacked into a block of their own.
+    """
+
+    data: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self) if f.init and f.name != "sample_rate"]
+        rows = [np.asarray(getattr(self, name), dtype=np.float64) for name in names]
+        for name, row in zip(names, rows):
+            if row.ndim != 1:
+                raise ValueError(f"{name} channel must be 1-D, got shape {row.shape}")
+        lengths = {len(row) for row in rows}
+        if len(lengths) != 1:
+            raise ValueError(f"channel lengths differ: {sorted(lengths)}")
+        data = rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+        for name, finite in zip(names, np.isfinite(data).all(axis=1)):
+            if not finite:
+                raise ValueError(f"{name} channel contains non-finite samples")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+        for name, row in zip(names, data):
+            object.__setattr__(self, name, row)
+
+    @property
+    def n_samples(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
-class MonoSignal:
+class MonoSignal(_Signal):
     """A single-channel signal with its sample rate."""
 
     samples: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_channel(self.samples, "samples"))
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
 
     @property
     def duration_s(self) -> float:
@@ -57,7 +75,7 @@ class MonoSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class BFormat:
+class BFormat(_Signal):
     """First-order ambisonic signal: channels W, X, Y, Z."""
 
     w: np.ndarray
@@ -65,23 +83,6 @@ class BFormat:
     y: np.ndarray
     z: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        for name in ("w", "x", "y", "z"):
-            object.__setattr__(self, name, _as_channel(getattr(self, name), name))
-        lengths = {len(self.w), len(self.x), len(self.y), len(self.z)}
-        if len(lengths) != 1:
-            raise ValueError(f"channel lengths differ: {sorted(lengths)}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.w)
-
-    def channels(self) -> np.ndarray:
-        """Stack the four channels as a (4, n) matrix in W,X,Y,Z order."""
-        return np.stack([self.w, self.x, self.y, self.z])
 
 
 def encode(source: MonoSignal, direction: Direction) -> BFormat:
@@ -102,5 +103,5 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     n = max(p.n_samples for p in parts)
     out = np.zeros((4, n))
     for p in parts:
-        out[:, : p.n_samples] += p.channels()
-    return BFormat(out[0], out[1], out[2], out[3], sample_rate=parts[0].sample_rate)
+        out[:, : p.n_samples] += p.data
+    return BFormat(*out, sample_rate=parts[0].sample_rate)

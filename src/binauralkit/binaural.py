@@ -18,7 +18,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import wavio
-from .ambisonic import BFormat, MonoSignal, _as_channel
+from .ambisonic import BFormat, MonoSignal, _Signal
 from .hrir import HrirPack, nearest
 from .spherical import Direction, harmonic_vector
 
@@ -37,26 +37,12 @@ _DEFAULT_ELEVATIONS = tuple(s * math.pi / 8 for s in (1, -1, 1, -1, -1, 1, -1, 1
 
 
 @dataclass(frozen=True, eq=False)
-class BinauralSignal:
+class BinauralSignal(_Signal):
     """Two-channel signal; channel 0 is the left ear."""
 
     left: np.ndarray
     right: np.ndarray
     sample_rate: int
-
-    def __post_init__(self):
-        for name in ("left", "right"):
-            object.__setattr__(self, name, _as_channel(getattr(self, name), name))
-        if len(self.left) != len(self.right):
-            raise ValueError(
-                f"channel lengths differ: {len(self.left)} vs {len(self.right)}"
-            )
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.left)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +125,7 @@ def render_direct_hrir(source: MonoSignal, direction: Direction, pack: HrirPack)
 
 def project_to_speakers(b: BFormat, arr: SpeakerArray) -> list[MonoSignal]:
     """Virtual speaker feeds: the minimum-norm solution of D s' = Psi per sample."""
-    feeds = arr.d_pinv @ b.channels()
-    return [MonoSignal(feeds[m], b.sample_rate) for m in range(feeds.shape[0])]
+    return [MonoSignal(feed, b.sample_rate) for feed in arr.d_pinv @ b.data]
 
 
 @lru_cache(maxsize=8)
@@ -173,17 +158,16 @@ def render_ambisonic_hrir(b: BFormat, arr: SpeakerArray, pack: HrirPack) -> Bina
     n = b.n_samples
     n_fft = _smooth_length(n + g.shape[-1] - 1)
     spectrum = np.einsum(
-        "ecf,cf->ef", np.fft.rfft(g, n_fft), np.fft.rfft(b.channels(), n_fft)
+        "ecf,cf->ef", np.fft.rfft(g, n_fft), np.fft.rfft(b.data, n_fft)
     )
-    left, right = np.fft.irfft(spectrum, n_fft)[:, :n]
-    return BinauralSignal(left, right, b.sample_rate)
+    return BinauralSignal(*np.fft.irfft(spectrum, n_fft)[:, :n], b.sample_rate)
 
 
 def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:
     """Export as a stereo WAV, left ear in channel 0."""
-    wavio.write_wav(path, sig.sample_rate, np.stack([sig.left, sig.right], axis=1), fmt=fmt)
+    wavio.write_wav(path, sig.sample_rate, sig.data.T, fmt=fmt)
 
 
 def read_binaural_wav(path) -> BinauralSignal:
     sample_rate, data = wavio.read_wav(path, channels=2)
-    return BinauralSignal(data[:, 0], data[:, 1], sample_rate)
+    return BinauralSignal(*data.T, sample_rate)

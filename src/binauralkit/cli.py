@@ -104,19 +104,17 @@ def cmd_compare_decoders(args) -> int:
     source = _read_mono(args.in_wav)
     direction = _resolve_direction(args)
     pack = load_or_default_pack(args.hrir_pack, source.sample_rate)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rendered = {}
-    for decoder in DECODERS:
-        sig = _render_with(decoder, source, direction, pack)
-        rendered[decoder] = sig
-        write_binaural_wav(out_dir / f"{decoder}.wav", sig)
+    rendered = {decoder: _render_with(decoder, source, direction, pack) for decoder in DECODERS}
     distances = {}
     for i, a in enumerate(DECODERS):
         for b in DECODERS[i + 1 :]:
             ref = rendered[a]
-            silent = not (ref.left.any() or ref.right.any())  # distances are undefined
+            silent = not ref.data.any()  # distances are undefined
             distances[f"{a}_vs_{b}"] = None if silent else evaluate(ref, rendered[b]).to_dict()
+    out_dir = Path(args.out_dir)  # created only once every score is in
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for decoder, sig in rendered.items():
+        write_binaural_wav(out_dir / f"{decoder}.wav", sig)
     (out_dir / "decoder_distances.json").write_text(
         json.dumps(distances, indent=2, sort_keys=True)
     )

@@ -192,12 +192,18 @@ def _naming(where):
 
 
 def _from_json(value, hint):
-    """The JSON value of a field annotated `hint`; an int serves for a float."""
+    """The JSON value of a field annotated `hint`; an int serves for a float.
+    A `tuple[T, ...]` takes a list of any length, a `tuple[A, B]` one value per type."""
     if hasattr(hint, "from_dict"):
         return hint.from_dict(value)
     is_list = get_origin(hint) is tuple
     if is_list and type(value) is list:
-        return tuple(_from_json(v, get_args(hint)[0]) for v in value)
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise ValueError(f"expected {len(args)} values, got {len(value)}")
+        return tuple(_from_json(v, a) for v, a in zip(value, args))
     if type(value) is hint or type(value) is int and hint is float:
         return hint(value)
     raise ValueError(f"expected {'a list' if is_list else hint.__name__}, got {value!r}")

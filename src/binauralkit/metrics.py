@@ -75,8 +75,8 @@ def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, h
         hop = seconds_to_samples(hop_s, gt.sample_rate, "hop_s")
         if n < win:
             raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
-    rows = (gt.left, gt.right, pred.left, pred.right)
-    return (np.stack([r[s : s + win] for r in rows]) for s in range(0, n - win + 1, hop))
+    starts = range(0, n - win + 1, hop)
+    return (np.concatenate((gt.data[:, s : s + win], pred.data[:, s : s + win])) for s in starts)
 
 
 def _spectra(rows: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
+from binauralkit.binaural import BinauralSignal
 from binauralkit.spherical import Direction
 
 
@@ -23,8 +24,12 @@ class TestTypes:
             MonoSignal(np.zeros(4), 0)
 
     def test_bformat_rejects_ragged_channels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^channel lengths differ: \[3, 4\]$"):
             BFormat(np.zeros(4), np.zeros(4), np.zeros(3), np.zeros(4))
+
+    def test_binaural_rejects_ragged_channels_with_the_same_message(self):
+        with pytest.raises(ValueError, match=r"^channel lengths differ: \[3, 4\]$"):
+            BinauralSignal(np.zeros(3), np.zeros(4), 16000)
 
 
 class TestEncode:

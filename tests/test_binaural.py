@@ -192,6 +192,13 @@ class TestSpeakerArray:
         assert worst <= 1e-11
 
 
+SIGNAL_TYPES = [
+    (MonoSignal, ("samples",)),
+    (BFormat, ("w", "x", "y", "z")),
+    (BinauralSignal, ("left", "right")),
+]
+
+
 class TestSignalChannels:
     @pytest.mark.parametrize("bad", [np.zeros((3, 2)), np.array([0.0, np.nan, 0.0])])
     @pytest.mark.parametrize(
@@ -209,6 +216,29 @@ class TestSignalChannels:
         with pytest.raises(ValueError, match=f"^{name} channel {problem}"):
             build(bad, np.zeros(3))
 
+    @pytest.mark.parametrize("cls, names", SIGNAL_TYPES)
+    def test_data_is_the_channels_as_one_block(self, cls, names):
+        inputs = [row.copy() for row in np.random.default_rng(5).normal(size=(len(names), 9))]
+        sig = cls(*inputs, 16000)
+        assert sig.data.dtype == np.float64 and sig.data.shape == (len(names), 9)
+        for name, row, given in zip(names, sig.data, inputs):
+            assert row.tobytes() == given.tobytes()
+            assert np.shares_memory(getattr(sig, name), row)
+
+    @pytest.mark.parametrize("cls, names", SIGNAL_TYPES)
+    def test_samples_cannot_be_written(self, cls, names):
+        sig = cls(*np.zeros((len(names), 4)), 16000)
+        for view in (sig.data, *(getattr(sig, name) for name in names)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+        assert not sig.data.any()
+
+    def test_mono_views_its_input_and_leaves_it_writeable(self):
+        samples = np.arange(5.0)
+        sig = MonoSignal(samples, 16000)
+        assert np.shares_memory(sig.samples, samples)
+        assert samples.flags.writeable and not sig.samples.flags.writeable
+
 
 class TestProjection:
     def test_reencode_recovers_bformat(self, noise):
@@ -219,7 +249,7 @@ class TestProjection:
         b = BFormat(*rng.normal(size=(4, 256)), sample_rate=16000)
         feeds = project_to_speakers(b, arr)
         stack = np.stack([f.samples for f in feeds])
-        np.testing.assert_allclose(arr.d_matrix @ stack, b.channels(), atol=1e-9)
+        np.testing.assert_allclose(arr.d_matrix @ stack, b.data, atol=1e-9)
 
     def test_zero_in_zero_out(self):
         arr = default_speaker_array()

@@ -279,6 +279,18 @@ class TestCompareDecoders:
         assert "signal rate 44100 != config rate 16000" in err
         assert not (out / "decoder_distances.json").exists()
 
+    @pytest.mark.parametrize("sr, seconds, needle", [
+        (8000, 1.0, "signal rate 8000 != config rate 16000"),
+        (SR, 0.25, "shorter than the 0.63 s window"),
+    ])
+    def test_failing_score_leaves_no_output(self, tmp_path, capsys, sr, seconds, needle):
+        tone = write_tone(tmp_path / "tone.wav", seconds=seconds, sr=sr)
+        out = tmp_path / "cmp"
+        assert main(["compare-decoders", "--in", str(tone), "--out-dir", str(out),
+                     "--azimuth-deg", "30"]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDataset:
     def make_pool(self, root, n=4):
@@ -440,6 +452,19 @@ class TestDataset:
         pool = overrides.pop("pool", self.make_pool(tmp_path))
         self.write_config(tmp_path, pool, **overrides)
         self.assert_fails_before_work(tmp_path, capsys, key)
+
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [
+            ("array", [[10, 20, 3], [90, 0], [180, 0], [270, 0], [0, 60]],
+             "expected 2 values, got 3"),
+            ("ratios", [0.5, 0.5], "expected 3 values, got 2"),
+            ("gain_range", [1.0], "expected 2 values, got 1"),
+        ],
+    )
+    def test_fixed_length_list_of_wrong_length_is_named(self, tmp_path, capsys, key, value, needle):
+        self.write_config(tmp_path, self.make_pool(tmp_path), **{key: value})
+        self.assert_fails_before_work(tmp_path, capsys, f"{key} in", needle)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "7", "{not json"])
     def test_config_that_is_not_an_object_fails(self, tmp_path, capsys, text):

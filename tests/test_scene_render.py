@@ -104,7 +104,7 @@ def render_scale(pair, arr, pack):
     g = np.abs(_ear_filters(arr, pack))
     total = 0.0
     for src, meta in zip(pair.per_source_mono, pair.metadata["sources"]):
-        b = np.abs(encode(src, Direction(meta["azimuth_rad"], meta["elevation_rad"])).channels())
+        b = np.abs(encode(src, Direction(meta["azimuth_rad"], meta["elevation_rad"])).data)
         total += max(
             float(sum(np.convolve(b[c], g[ear, c]) for c in range(4)).max()) for ear in range(2)
         )

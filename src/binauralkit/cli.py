@@ -89,7 +89,10 @@ def cmd_dataset(args) -> int:
 def cmd_eval(args) -> int:
     gt = read_binaural_wav(args.gt_wav)
     pred = read_binaural_wav(args.pred_wav)
-    report = evaluate(gt, pred, window_s=args.window_s, hop_s=args.hop_s)
+    try:
+        report = evaluate(gt, pred, window_s=args.window_s, hop_s=args.hop_s)
+    except ValueError as exc:  # what evaluate rejects is this pair or its windows
+        raise ValueError(f"{args.gt_wav} vs {args.pred_wav}: {exc}") from exc
     if args.report is not None:
         Path(args.report).write_text(report.to_json())
     print(

@@ -2,10 +2,11 @@
 
 All distances follow the sliding-window protocol (0.63 s window, 0.1 s
 hop) by default; pass ``window_s=None`` for whole-signal variants.
-Channel contributions are summed, window results averaged. The phase
-distance is the mean absolute principal-value phase difference between
-the left-right difference spectrograms, so its range is [0, pi] and the
-phase of an exactly zero bin counts as 0.
+Channel contributions are summed, window results averaged. The STFT
+follows the pair's rate (`spectral.stft_config`); only 16 kHz figures
+match the paper's protocol. The phase distance is the mean absolute
+principal-value phase difference between the l-r spectrograms, so its
+range is [0, pi] and the phase of an exactly zero bin counts as 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ._kernels import phase_mean_abs
 from .ambisonic import seconds_to_samples
 from .binaural import BinauralSignal
-from .spectral import DEFAULT_STFT, Spectrogram, StftConfig, _stft_bins
+from .spectral import Spectrogram, StftConfig, _check_same_config, _stft_bins, stft_config
 
 DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
@@ -79,9 +80,9 @@ def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, h
     return (np.concatenate((gt.data[:, s : s + win], pred.data[:, s : s + win])) for s in starts)
 
 
-def _spectra(rows: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:
+def _spectra(rows: np.ndarray, sample_rate: int) -> np.ndarray:
     """`stft` bins of each row, with the finiteness check of `Spectrogram`."""
-    bins = _stft_bins(rows, sample_rate, cfg)
+    bins = _stft_bins(rows, sample_rate)
     if not np.all(np.isfinite(bins)):
         raise ValueError("spectrogram contains non-finite bins")
     return bins
@@ -133,13 +134,12 @@ def _snr_db(gt_l, gt_r, pd_l, pd_r) -> float | None:
 def stft_distance(
     gt: BinauralSignal,
     pred: BinauralSignal,
-    cfg: StftConfig = DEFAULT_STFT,
     window_s: float | None = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """Complex L2 spectrogram distance, both channels, averaged over windows."""
     blocks = _windows(gt, pred, window_s, hop_s)
-    return float(np.mean([_stft_term(_spectra(b, gt.sample_rate, cfg)) for b in blocks]))
+    return float(np.mean([_stft_term(_spectra(b, gt.sample_rate)) for b in blocks]))
 
 
 def env_distance(
@@ -156,13 +156,12 @@ def env_distance(
 def mag_distance(
     gt: BinauralSignal,
     pred: BinauralSignal,
-    cfg: StftConfig = DEFAULT_STFT,
     window_s: float | None = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """L2 distance between magnitude spectrograms, both channels, averaged."""
     blocks = _windows(gt, pred, window_s, hop_s)
-    return float(np.mean([_mag_term(_spectra(b, gt.sample_rate, cfg)) for b in blocks]))
+    return float(np.mean([_mag_term(_spectra(b, gt.sample_rate)) for b in blocks]))
 
 
 def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
@@ -177,8 +176,9 @@ def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
 
 def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     """Mean |principal-value phase difference| between a predicted l-r
-    spectrogram and the ground truth's, transformed with the prediction's config."""
-    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate, pred_diff_spec.config)
+    spectrogram and the ground truth's, which must share its sample rate."""
+    _check_same_config(stft_config(gt.sample_rate), pred_diff_spec.config)
+    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate)
     if gt_diff.shape != pred_diff_spec.shape:
         raise ValueError(
             f"shape mismatch: gt diff {gt_diff.shape} vs prediction {pred_diff_spec.shape}"
@@ -191,7 +191,6 @@ def evaluate(
     pred: BinauralSignal,
     window_s: float | None = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
-    cfg: StftConfig = DEFAULT_STFT,
 ) -> MetricsReport:
     """Slide a window over the pair and average all five metrics.
 
@@ -202,10 +201,10 @@ def evaluate(
     sr = gt.sample_rate
     terms = []
     for block in _windows(gt, pred, window_s, hop_s):
-        spec = _spectra(block, sr, cfg)
+        spec = _spectra(block, sr)
         # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
         # differently, and the phase of near-zero bins is discontinuous
-        diff = _spectra(block[0::2] - block[1::2], sr, cfg)
+        diff = _spectra(block[0::2] - block[1::2], sr)
         terms.append((
             _stft_term(spec), _env_term(block), _mag_term(spec),
             _snr_db(*block), phase_mean_abs(diff[0], diff[1]),
@@ -223,5 +222,5 @@ def evaluate(
         windows=len(terms),
         window_s=window_s,
         hop_s=None if window_s is None else hop_s,  # one window: the hop is unused
-        stft_config=cfg,
+        stft_config=stft_config(sr),
     )

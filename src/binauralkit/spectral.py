@@ -1,11 +1,11 @@
 """STFT/ISTFT engine, complex masking, and the stereo/separation losses.
 
-The defaults (n_fft 512, Hann window of 400, hop 160 at 16 kHz) are laid
-out so a 0.63 s clip transforms to exactly 257 x 64 complex bins. The
-window is always a periodic Hann of ``win_length`` samples, centered in
-the ``n_fft`` frame. Frames are centered with reflection padding; the
-inverse uses overlap-add with squared-window normalization, which the
-config validates at construction.
+The geometry follows the signal's sample rate (`stft_config`): a 25 ms
+periodic Hann window, centered in the smallest power-of-two frame, at a
+10 ms hop. At 16 kHz that is 512/400/160: a 0.63 s clip gives 257 x 64
+bins. Frames are centered with reflection padding; the inverse uses
+overlap-add with squared-window normalization, which the config validates
+at construction.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ NOLA_TOL = 1e-10
 
 @dataclass(frozen=True)
 class StftConfig:
-    n_fft: int = 512
-    win_length: int = 400
-    hop: int = 160
-    sample_rate: int = 16000
+    n_fft: int
+    win_length: int
+    hop: int
+    sample_rate: int
 
     def __post_init__(self):
         if self.n_fft <= 0 or self.win_length <= 0 or self.hop <= 0:
@@ -75,7 +75,17 @@ def _padded_window(cfg: StftConfig) -> np.ndarray:
     return padded
 
 
-DEFAULT_STFT = StftConfig()
+@lru_cache(maxsize=16)
+def stft_config(sample_rate: int) -> StftConfig:
+    """The STFT geometry at `sample_rate`: 25 ms and 10 ms rounded half up
+    (1102.5 samples give 1103), in the smallest power-of-two frame."""
+    win, hop = int((sample_rate + 20) // 40), int((sample_rate + 50) // 100)
+    if hop <= 0:
+        raise ValueError(f"sample rate {sample_rate} Hz is too low for a 10 ms hop")
+    return StftConfig(1 << (win - 1).bit_length(), win, hop, sample_rate)
+
+
+DEFAULT_STFT = stft_config(16000)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,20 +132,20 @@ class ComplexMask:
         return self.bins.shape
 
 
-def stft(signal: MonoSignal, cfg: StftConfig = DEFAULT_STFT) -> Spectrogram:
+def stft(signal: MonoSignal) -> Spectrogram:
     """Centered, reflect-padded, Hann-windowed real FFT per frame."""
-    bins = _stft_bins(signal.samples, signal.sample_rate, cfg)
-    return Spectrogram(bins, cfg, n_samples=signal.n_samples)
+    bins = _stft_bins(signal.samples, signal.sample_rate)
+    return Spectrogram(bins, stft_config(signal.sample_rate), n_samples=signal.n_samples)
 
 
-def _stft_bins(x: np.ndarray, sample_rate: int, cfg: StftConfig) -> np.ndarray:
+def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
     """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames)."""
-    if sample_rate != cfg.sample_rate:
-        raise ValueError(f"signal rate {sample_rate} != config rate {cfg.sample_rate}")
+    cfg = stft_config(sample_rate)
     n = x.shape[-1]
     pad = cfg.n_fft // 2
-    if n < cfg.win_length or n < pad + 1:
-        raise ValueError(f"signal of {n} samples is too short for this configuration")
+    if n < cfg.win_length:  # which also covers the reflection pad: pad < win_length
+        raise ValueError(f"signal of {n} samples is too short for the "
+                         f"{cfg.win_length}-sample STFT window at {sample_rate} Hz")
     padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
     frames = frames[..., :: cfg.hop, :][..., : cfg.frame_count(n), :]
@@ -163,13 +173,21 @@ def apply_mask(mask: ComplexMask, spec: Spectrogram) -> Spectrogram:
     return Spectrogram(mask.bins * spec.bins, spec.config, n_samples=spec.n_samples)
 
 
+def _check_same_config(*configs: StftConfig) -> None:
+    """Reject spectrograms of different STFT configs, whose shapes may still
+    agree: 44.1 and 48 kHz both give 1025 bins and, for 1 s, 101 frames."""
+    if len(set(configs)) > 1:
+        raise ValueError("spectrograms of different STFT configs: " + " vs ".join(
+            f"{c.sample_rate} Hz {c.to_dict()}" for c in dict.fromkeys(configs)))
+
+
 class MonoDiff(NamedTuple):
     s_m: MonoSignal
     spec_m: Spectrogram
     spec_d: Spectrogram
 
 
-def mono_and_diff(left: MonoSignal, right: MonoSignal, cfg: StftConfig = DEFAULT_STFT) -> MonoDiff:
+def mono_and_diff(left: MonoSignal, right: MonoSignal) -> MonoDiff:
     """Mono sum l+r with its spectrogram, plus the spectrogram of l-r."""
     if left.n_samples != right.n_samples:
         raise ValueError(
@@ -179,7 +197,7 @@ def mono_and_diff(left: MonoSignal, right: MonoSignal, cfg: StftConfig = DEFAULT
         raise ValueError("channel sample rates differ")
     s_m = MonoSignal(left.samples + right.samples, left.sample_rate)
     s_d = MonoSignal(left.samples - right.samples, left.sample_rate)
-    return MonoDiff(s_m, stft(s_m, cfg), stft(s_d, cfg))
+    return MonoDiff(s_m, stft(s_m), stft(s_d))
 
 
 def reconstruct_lr(s_m: MonoSignal, diff: MonoSignal) -> BinauralSignal:
@@ -199,6 +217,7 @@ def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> 
     The learning-free minimizer of the stereo loss; eps keeps near-silent
     mono bins from blowing the division up.
     """
+    _check_same_config(spec_d.config, spec_m.config)
     if spec_d.shape != spec_m.shape:
         raise ValueError(f"shapes differ: {spec_d.shape} vs {spec_m.shape}")
     if eps <= 0:
@@ -209,6 +228,7 @@ def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> 
 
 def loss_stereo(spec_d: Spectrogram, mask: ComplexMask, spec_m: Spectrogram) -> float:
     """L2 norm of the masking residual S_D - M * S_m (sum over bins, then sqrt)."""
+    _check_same_config(spec_d.config, spec_m.config)
     if mask.shape != spec_m.shape or spec_d.shape != spec_m.shape:
         raise ValueError("spectrogram/mask shapes differ")
     residual = spec_d.bins - mask.bins * spec_m.bins
@@ -223,6 +243,7 @@ def loss_separation(
     spec_mix: Spectrogram,
 ) -> float:
     """Sum of the two squared residual norms of the mix-and-separate task."""
+    _check_same_config(spec_a.config, spec_b.config, spec_mix.config)
     shapes = {spec_a.shape, spec_b.shape, mask_a.shape, mask_b.shape, spec_mix.shape}
     if len(shapes) != 1:
         raise ValueError(f"shapes differ: {shapes}")

@@ -107,9 +107,16 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     if fmt not in _WRITE_FORMATS:
         raise ValueError(f"unsupported wav sample format: {fmt!r}")
     tag, width = _WRITE_FORMATS[fmt]
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim not in (1, 2):
         raise ValueError(f"WAV data must be 1-D or 2-D, got shape {data.shape}")
+    nbytes = data.size * width
+    # the RIFF size counts "WAVE", the fmt, fact and data chunk headers and the samples
+    riff_size = (36 if tag == PCM else 50) + nbytes
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {nbytes} bytes of samples exceed the 4 GiB size "
+                         "limit of a RIFF/WAVE file")
+    data = np.asarray(data, dtype=np.float64)
     if tag == PCM:
         data = np.round(np.clip(data, -1.0, 1.0) * 32767.0)
     samples = data.astype(_FORMATS[tag, width][0])
@@ -122,7 +129,7 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
         fmt_body += b"\x00\x00"
         fact = b"fact" + struct.pack("<II", 4, len(samples))
     header = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + fact
-              + b"data" + struct.pack("<I", samples.nbytes))
+              + b"data" + struct.pack("<I", nbytes))
     with open(path, "wb") as f:
-        f.write(b"RIFF" + struct.pack("<I", len(header) + samples.nbytes) + header)
+        f.write(b"RIFF" + struct.pack("<I", riff_size) + header)
         f.write(samples.tobytes())

@@ -18,6 +18,13 @@ from binauralkit.scenegen import DatasetConfig, load_dataset_config
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 SR = 16000
+# (sample rate, n_fft, win, hop) of the metrics' STFT at rates other than 16 kHz
+GEOMETRIES = [
+    (8000, 256, 200, 80),
+    (22050, 1024, 551, 221),
+    (44100, 2048, 1103, 441),
+    (48000, 2048, 1200, 480),
+]
 
 
 def write_tone(path, seconds=1.0, freq=440.0, sr=SR):
@@ -194,6 +201,31 @@ class TestEval:
         assert main(["eval", "--gt", str(a), "--pred", str(b)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pred_rate, pred_n, needle", [
+        (8000, SR, "sample rates differ: 16000 vs 8000"),
+        (SR, SR + 10, "signal lengths differ: 16000 vs 16010"),
+    ])
+    def test_mismatched_pair_names_both_files(self, tmp_path, capsys, pred_rate, pred_n, needle):
+        gt, pred = tmp_path / "gt.wav", tmp_path / "pred.wav"
+        wavio.write_wav(gt, SR, np.ones((SR, 2)))
+        wavio.write_wav(pred, pred_rate, np.ones((pred_n, 2)))
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 1
+        assert capsys.readouterr().err == f"error: {gt} vs {pred}: {needle}\n"
+
+    @pytest.mark.parametrize("sr, n_fft, win, hop", GEOMETRIES)
+    def test_scores_at_any_rate(self, tmp_path, sr, n_fft, win, hop):
+        rng = np.random.default_rng(sr)
+        gt, pred = tmp_path / "gt.wav", tmp_path / "pred.wav"
+        wavio.write_wav(gt, sr, rng.normal(size=(sr, 2)) * 0.1)
+        wavio.write_wav(pred, sr, rng.normal(size=(sr, 2)) * 0.1)
+        report_path = tmp_path / "r.json"
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["windows"] == 4  # 0.63 s windows at a 0.1 s hop over 1 s
+        assert report["config"]["stft"] == {"n_fft": n_fft, "win": win, "hop": hop}
+        assert report["stft"] > 0.0 and 0.0 < report["d_phase"] < np.pi
+
     def test_mono_input_names_the_file(self, tmp_path, capsys):
         mono, stereo = tmp_path / "mono.wav", tmp_path / "st.wav"
         wavio.write_wav(mono, SR, np.zeros(SR))
@@ -267,20 +299,23 @@ class TestCompareDecoders:
         assert distances == dict.fromkeys(
             ["wy_vs_hrir", "wy_vs_ambisonic-hrir", "hrir_vs_ambisonic-hrir"])
 
-    def test_rate_the_metrics_cannot_take_fails(self, tmp_path, capsys):
-        # a 44.1 kHz input renders with a 44.1 kHz pack, but the metrics'
-        # STFT is set for 16 kHz: that is an error, not a null distance
-        tone = write_tone(tmp_path / "tone44k.wav", sr=44100)
+    @pytest.mark.parametrize("sr, n_fft, win, hop", GEOMETRIES)
+    def test_scores_at_any_rate(self, tmp_path, sr, n_fft, win, hop):
+        # the input renders with a pack at its rate, and the distances use
+        # the STFT geometry of that rate
+        tone = write_tone(tmp_path / "tone.wav", sr=sr)
         out = tmp_path / "cmp"
         assert main(["compare-decoders", "--in", str(tone), "--out-dir", str(out),
-                     "--azimuth-deg", "30"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "signal rate 44100 != config rate 16000" in err
-        assert not (out / "decoder_distances.json").exists()
+                     "--azimuth-deg", "30"]) == 0
+        distances = json.loads((out / "decoder_distances.json").read_text())
+        assert len(distances) == 3
+        for d in distances.values():
+            assert d["windows"] == 4
+            assert d["config"]["stft"] == {"n_fft": n_fft, "win": win, "hop": hop}
+        for name in ("wy.wav", "hrir.wav", "ambisonic-hrir.wav"):
+            assert wavio.read_wav(out / name)[0] == sr
 
     @pytest.mark.parametrize("sr, seconds, needle", [
-        (8000, 1.0, "signal rate 8000 != config rate 16000"),
         (SR, 0.25, "shorter than the 0.63 s window"),
     ])
     def test_failing_score_leaves_no_output(self, tmp_path, capsys, sr, seconds, needle):

@@ -17,7 +17,7 @@ from binauralkit.metrics import (
     snr,
     stft_distance,
 )
-from binauralkit.spectral import Spectrogram, StftConfig, stft
+from binauralkit.spectral import Spectrogram, stft, stft_config
 
 SR = 16000
 
@@ -189,13 +189,16 @@ class TestDPhase:
         value = d_phase(gt, arbitrary)
         assert 0.0 <= value <= math.pi
 
-    def test_ground_truth_uses_the_spectrogram_config(self):
-        # the same shape as under DEFAULT_STFT, so only the config tells them apart
-        gt = noise_pair(34, n=4000)
-        cfg = StftConfig(512, 256, 160)
-        own = stft(MonoSignal(gt.left - gt.right, SR), cfg)
-        assert own.shape == stft(MonoSignal(gt.left - gt.right, SR)).shape
-        assert d_phase(gt, own) == 0.0
+    def test_spectrogram_of_another_rate_rejected(self):
+        # 1 s at 44.1 and at 48 kHz both give 1025 x 101 bins, so only the
+        # config tells them apart
+        rng = np.random.default_rng(34)
+        gt = BinauralSignal(rng.normal(size=44100), rng.normal(size=44100), 44100)
+        assert d_phase(gt, stft(MonoSignal(gt.left - gt.right, 44100))) == 0.0
+        other = stft(MonoSignal(rng.normal(size=48000), 48000))
+        assert other.shape == (1025, 101)
+        with pytest.raises(ValueError, match="44100 Hz .* vs 48000 Hz"):
+            d_phase(gt, other)
 
     def test_shape_mismatch_rejected(self):
         gt = noise_pair(24, n=4000)
@@ -240,12 +243,13 @@ class TestEvaluate:
         }
 
     def test_report_records_the_settings_it_was_computed_with(self):
-        gt, pred = noise_pair(32, n=4000), noise_pair(33, n=4000)
-        cfg = StftConfig(256, 200, 100)
-        report = evaluate(gt, pred, 0.2, 0.05, cfg)
-        assert (report.window_s, report.hop_s, report.stft_config) == (0.2, 0.05, cfg)
+        rng = np.random.default_rng(32)
+        gt, pred = (BinauralSignal(*rng.normal(size=(2, 4000)), 8000) for _ in range(2))
+        report = evaluate(gt, pred, 0.2, 0.05)
+        assert (report.window_s, report.hop_s) == (0.2, 0.05)
+        assert report.stft_config == stft_config(8000)
         assert report.to_dict()["config"] == {
-            "window_s": 0.2, "hop_s": 0.05, "stft": {"n_fft": 256, "win": 200, "hop": 100}
+            "window_s": 0.2, "hop_s": 0.05, "stft": {"n_fft": 256, "win": 200, "hop": 80}
         }
         # one whole-signal window ignores the hop, so none is recorded
         whole = evaluate(gt, pred, window_s=None, hop_s=0.05)

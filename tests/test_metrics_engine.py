@@ -27,10 +27,9 @@ from binauralkit.metrics import (
     mag_distance,
     stft_distance,
 )
-from binauralkit.spectral import DEFAULT_STFT, StftConfig, stft
+from binauralkit.spectral import DEFAULT_STFT, stft, stft_config
 
 SR = 16000
-SMALL_STFT = StftConfig(n_fft=256, win_length=256, hop=64)
 
 
 # --- oracle: the loops as they were before the engine ---------------------
@@ -46,7 +45,9 @@ def _window_starts(n, sample_rate, window_s, hop_s):
 
 
 def _spec(x, sample_rate, cfg):
-    return stft(MonoSignal(x, sample_rate), cfg).bins
+    spec = stft(MonoSignal(x, sample_rate))
+    assert spec.config == cfg
+    return spec.bins
 
 
 def _l2(bins):
@@ -143,18 +144,20 @@ def outcome(fn, *args, **kwargs):
 
 @st.composite
 def pairs(draw):
-    """A (gt, pred, cfg, window_s, hop_s) case: lengths at least one window,
-    window hops off the 160-sample STFT grid, channels that may be equal
-    (zero l-r spectra) and a ground truth whose first window may be silent."""
-    cfg = draw(st.sampled_from([DEFAULT_STFT, SMALL_STFT]))
+    """A (gt, pred, cfg, window_s, hop_s) case at 16 or 8 kHz, cfg being the
+    STFT geometry of the rate: lengths at least one window, window hops off
+    the STFT's hop grid, channels that may be equal (zero l-r spectra) and a
+    ground truth whose first window may be silent."""
+    sr = draw(st.sampled_from([SR, 8000]))
+    cfg = stft_config(sr)
     shortest = max(cfg.win_length, cfg.n_fft // 2 + 1)
     if draw(st.booleans()):
         window_s, hop_s = None, 0.1
         n = draw(st.integers(shortest, 12000))
     else:
         win = draw(st.integers(shortest, 10080))
-        hop = draw(st.integers(1, 4000).filter(lambda h: h % DEFAULT_STFT.hop != 0))
-        window_s, hop_s = win / SR, hop / SR
+        hop = draw(st.integers(1, 4000).filter(lambda h: h % cfg.hop != 0))
+        window_s, hop_s = win / sr, hop / sr
         n = win + draw(st.integers(0, 4 * hop))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -172,11 +175,11 @@ def pairs(draw):
     if equal_lr in ("pred", "both"):
         pred[1] = pred[0]
     if draw(st.booleans()):
-        silent = n if window_s is None else int(round(window_s * SR))
+        silent = n if window_s is None else int(round(window_s * sr))
         gt[:, :silent] = 0.0
     return (
-        BinauralSignal(gt[0], gt[1], SR),
-        BinauralSignal(pred[0], pred[1], SR),
+        BinauralSignal(gt[0], gt[1], sr),
+        BinauralSignal(pred[0], pred[1], sr),
         cfg,
         window_s,
         hop_s,
@@ -200,11 +203,11 @@ class TestEquivalence:
     def test_bitwise_equal_to_the_loops(self, case):
         gt, pred, cfg, window_s, hop_s = case
         windows = dict(window_s=window_s, hop_s=hop_s)
-        report = outcome(evaluate, gt, pred, cfg=cfg, **windows)
+        report = outcome(evaluate, gt, pred, **windows)
         standalone = (
-            stft_distance(gt, pred, cfg, **windows),
+            stft_distance(gt, pred, **windows),
             env_distance(gt, pred, **windows),
-            mag_distance(gt, pred, cfg, **windows),
+            mag_distance(gt, pred, **windows),
         )
         assert standalone == (
             oracle_stft_distance(gt, pred, cfg, **windows),
@@ -238,7 +241,6 @@ class TestChecks:
             env_distance(gt, gt)
 
     def test_env_distance_at_any_sample_rate(self):
-        # env_distance takes no StftConfig, so no STFT sample rate applies
         rng = np.random.default_rng(5)
         sr = 8000
         gt = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
@@ -246,11 +248,18 @@ class TestChecks:
         assert env_distance(gt, gt) == 0.0
         assert env_distance(gt, pred) == oracle_env_distance(gt, pred)
 
-    def test_stft_metrics_reject_a_foreign_sample_rate(self):
-        x = np.random.default_rng(6).normal(size=8000)
-        gt = BinauralSignal(x, x, 8000)
-        with pytest.raises(ValueError, match="config rate"):
-            stft_distance(gt, gt)
+    def test_stft_metrics_at_8k_equal_the_loops(self):
+        # the loops at the 8 kHz geometry (256/200/80), which the engine reads
+        # from the pair's rate
+        rng = np.random.default_rng(6)
+        sr, cfg = 8000, stft_config(8000)
+        gt = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
+        pred = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
+        assert stft_distance(gt, pred) == oracle_stft_distance(gt, pred, cfg)
+        assert mag_distance(gt, pred) == oracle_mag_distance(gt, pred, cfg)
+        report = evaluate(gt, pred)
+        assert report == oracle_evaluate(gt, pred, cfg=cfg)
+        assert (cfg.n_fft, cfg.win_length, cfg.hop) == (256, 200, 80)
 
     @pytest.mark.parametrize(
         "window_s, hop_s, name, value",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import get_window
 
 from binauralkit.ambisonic import MonoSignal
@@ -19,6 +21,7 @@ from binauralkit.spectral import (
     oracle_mask,
     reconstruct_lr,
     stft,
+    stft_config,
 )
 
 SR = 16000
@@ -35,23 +38,22 @@ def rand_spec(rng, cfg=DEFAULT_STFT, frames=16):
 
 class TestConfig:
     def test_defaults(self):
-        assert DEFAULT_STFT.n_fft == 512
-        assert DEFAULT_STFT.win_length == 400
-        assert DEFAULT_STFT.hop == 160
+        assert DEFAULT_STFT == StftConfig(n_fft=512, win_length=400, hop=160, sample_rate=SR)
+        assert DEFAULT_STFT is stft_config(SR)
         assert DEFAULT_STFT.n_bins == 257
 
     def test_rejects_win_longer_than_fft(self):
         with pytest.raises(ValueError):
-            StftConfig(n_fft=256, win_length=400)
+            StftConfig(n_fft=256, win_length=400, hop=160, sample_rate=SR)
 
     def test_rejects_hop_longer_than_win(self):
         with pytest.raises(ValueError):
-            StftConfig(n_fft=512, win_length=256, hop=400)
+            StftConfig(n_fft=512, win_length=256, hop=400, sample_rate=SR)
 
     def test_window_is_periodic_hann(self):
         # bit-exact against the periodic Hann of scipy, 1-sample window included
         for n in range(1, 1025):
-            cfg = StftConfig(n_fft=n, win_length=n, hop=1)
+            cfg = StftConfig(n_fft=n, win_length=n, hop=1, sample_rate=SR)
             expected = get_window("hann", n, fftbins=True)
             np.testing.assert_array_equal(_padded_window(cfg), expected, err_msg=f"n={n}")
 
@@ -63,7 +65,44 @@ class TestConfig:
     def test_rejects_overlap_add_violation(self):
         # hann at hop == win leaves zero-coverage sample offsets
         with pytest.raises(ValueError, match="overlap-add"):
-            StftConfig(n_fft=512, win_length=400, hop=400)
+            StftConfig(n_fft=512, win_length=400, hop=400, sample_rate=SR)
+
+
+class TestRule:
+    @pytest.mark.parametrize("sr, n_fft, win, hop", [
+        (8000, 256, 200, 80),
+        (16000, 512, 400, 160),
+        (22050, 1024, 551, 221),
+        (44100, 2048, 1103, 441),  # 1102.5 rounds up
+        (48000, 2048, 1200, 480),
+        (192000, 8192, 4800, 1920),
+        (1300, 64, 33, 13),
+        (50, 1, 1, 1),
+    ])
+    def test_geometry_at_standard_rates(self, sr, n_fft, win, hop):
+        assert stft_config(sr) == StftConfig(n_fft, win, hop, sr)
+
+    @pytest.mark.parametrize("sr", [np.int64(SR), np.int32(SR), float(SR)])
+    def test_rate_of_another_numeric_type_gets_the_same_geometry(self, sr):
+        # signals accept numpy and float rates; the geometry stays in Python
+        # ints (bypassing the cache, which holds the int 16000's config)
+        cfg = stft_config.__wrapped__(sr)
+        assert cfg == DEFAULT_STFT
+        assert all(type(v) is int for v in cfg.to_dict().values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(50, 192000))
+    def test_every_rate_passes_the_config_checks(self, sr):
+        # constructing the config runs every check, overlap-add included
+        cfg = stft_config(sr)
+        assert abs(cfg.win_length - sr / 40) <= 0.5 and abs(cfg.hop - sr / 100) <= 0.5
+        assert cfg.n_fft & (cfg.n_fft - 1) == 0  # a power of two
+        assert cfg.n_fft // 2 < cfg.win_length <= cfg.n_fft  # the smallest that holds it
+
+    @pytest.mark.parametrize("sr", [49, 40, 1, 0])
+    def test_rate_below_50_hz_rejected_by_name(self, sr):
+        with pytest.raises(ValueError, match=f"sample rate {sr} Hz is too low for a 10 ms hop"):
+            stft_config(sr)
 
 
 class TestStft:
@@ -91,23 +130,26 @@ class TestStft:
         np.testing.assert_allclose(interior[k], expected, rtol=1e-2)
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
+        with pytest.raises(ValueError, match="399 samples is too short for the 400-sample "
+                           "STFT window at 16000 Hz"):
             stft(mono(np.ones(399)))
 
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            stft(MonoSignal(np.ones(4000), 44100))
+    def test_8k_signal_gets_the_8k_geometry(self):
+        spec = stft(MonoSignal(np.ones(4000), 8000))
+        assert spec.config == stft_config(8000)
+        assert spec.shape == (129, 51)
 
-    @pytest.mark.parametrize(
-        "cfg", [DEFAULT_STFT, StftConfig(256, 200, 50), StftConfig(64, 33, 7)]
-    )
+    # the geometries of 16 kHz, 8 kHz and 1.3 kHz (64/33/13, an odd window)
+    @pytest.mark.parametrize("cfg", [stft_config(sr) for sr in (SR, 8000, 1300)])
     @pytest.mark.parametrize("shape", [(4, 10080), (2, 3, 4001), (1, 400)])
     def test_batched_core_equals_stft_per_row(self, cfg, shape):
         x = np.random.default_rng(shape[-1]).normal(size=shape)
-        bins = _stft_bins(x, SR, cfg)
+        bins = _stft_bins(x, cfg.sample_rate)
         assert bins.shape == (*shape[:-1], cfg.n_bins, cfg.frame_count(shape[-1]))
         for idx in np.ndindex(*shape[:-1]):
-            np.testing.assert_array_equal(bins[idx], stft(mono(x[idx]), cfg).bins)
+            spec = stft(MonoSignal(x[idx], cfg.sample_rate))
+            assert spec.config == cfg
+            np.testing.assert_array_equal(bins[idx], spec.bins)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -124,6 +166,13 @@ class TestRoundTrip:
         x = rng.normal(size=n)
         back = istft(stft(mono(x)))
         assert back.n_samples == n
+        assert np.linalg.norm(back.samples - x) / np.linalg.norm(x) < 1e-6
+
+    @pytest.mark.parametrize("sr", [8000, 22050, 44100, 48000])
+    def test_istft_inverts_stft_at_any_rate(self, sr):
+        x = np.random.default_rng(sr).normal(size=sr // 2)
+        back = istft(stft(MonoSignal(x, sr)))
+        assert back.sample_rate == sr and back.n_samples == x.size
         assert np.linalg.norm(back.samples - x) / np.linalg.norm(x) < 1e-6
 
     def test_zero_spectrogram_gives_silence(self):
@@ -247,6 +296,32 @@ class TestOracleMask:
         spec = rand_spec(rng)
         with pytest.raises(ValueError):
             oracle_mask(spec, spec, eps=0.0)
+
+
+class TestMixedRates:
+    """44.1 and 48 kHz spectrograms of one shape: only their configs differ."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(26)
+        a, b = rand_spec(rng, stft_config(44100), 4), rand_spec(rng, stft_config(48000), 4)
+        assert a.shape == b.shape == (1025, 4)
+        return a, b
+
+    def test_oracle_mask_rejects(self, pair):
+        with pytest.raises(ValueError, match="44100 Hz .* vs 48000 Hz"):
+            oracle_mask(*pair)
+
+    def test_loss_stereo_rejects(self, pair):
+        a, b = pair
+        with pytest.raises(ValueError, match="44100 Hz .* vs 48000 Hz"):
+            loss_stereo(a, ComplexMask(np.ones(a.shape)), b)
+
+    def test_loss_separation_rejects(self, pair):
+        a, b = pair
+        ones = ComplexMask(np.ones(a.shape))
+        with pytest.raises(ValueError, match="44100 Hz .* vs 48000 Hz"):
+            loss_separation(a, a, ones, ones, b)
 
 
 class TestLosses:

@@ -6,6 +6,7 @@ as the reference) for every format it read, and must reject truncated,
 malformed and unsupported files with a ValueError that names the path.
 """
 
+import re
 import struct
 import warnings
 
@@ -99,6 +100,20 @@ class TestWriterMatchesScipy:
         with pytest.raises(ValueError, match=r"1-D or 2-D, got shape \(2, 2, 2\)"):
             wavio.write_wav(tmp_path / "x.wav", SR, np.zeros((2, 2, 2)))
         assert not (tmp_path / "x.wav").exists()
+
+    @pytest.mark.parametrize("fmt, shape", [
+        ("float32", (2**30,)),
+        ("pcm16", (2**30, 2)),
+        ("pcm16", (2**31 - 18,)),  # a RIFF size of 2**32, one byte past the limit
+    ])
+    def test_past_the_riff_size_limit_is_rejected_by_name(self, tmp_path, fmt, shape):
+        # a zero-stride view, so none of its 4 GiB of samples is allocated
+        data = np.broadcast_to(np.float64(0.0), shape)
+        path = tmp_path / "big.wav"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r"\d+ bytes of samples "
+                           "exceed the 4 GiB size limit"):
+            wavio.write_wav(path, SR, data, fmt=fmt)
+        assert not path.exists()
 
 
 class TestReaderMatchesScipy:

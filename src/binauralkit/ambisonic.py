@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .spherical import Direction, harmonic_vector
+from .wavio import as_sample_rate
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -50,8 +51,7 @@ class _Signal:
         for name, finite in zip(names, np.isfinite(data).all(axis=1)):
             if not finite:
                 raise ValueError(f"{name} channel contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", as_sample_rate(self.sample_rate))
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         for name, row in zip(names, data):

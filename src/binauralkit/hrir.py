@@ -1,7 +1,7 @@
 """HRIR packs: on-disk format, synthetic generation, nearest-direction lookup.
 
-A pack is a directory holding ``index.json`` plus one mono WAV per ear
-per direction::
+A pack is a directory holding one mono WAV per ear per direction and an
+``index.json`` of exactly these keys, each type-checked by `_from_json`::
 
     {"name": ..., "sample_rate": ...,
      "entries": [{"azimuth_deg": ..., "elevation_deg": ...,
@@ -18,9 +18,10 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,8 +61,7 @@ class HrirPack:
         object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) == 0:
             raise ValueError("an HRIR pack needs at least one entry")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", wavio.as_sample_rate(self.sample_rate))
         seen = set()
         for e in self.entries:
             key = (e.direction.azimuth, e.direction.elevation)
@@ -112,8 +112,7 @@ def synth_pack(
         raise ValueError(f"head_radius must be positive, got {head_radius}")
     if ild_db < 0:
         raise ValueError(f"ild_db must be non-negative, got {ild_db}")
-    if sample_rate <= 0:
-        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+    sample_rate = wavio.as_sample_rate(sample_rate)
 
     itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
     base = int(math.ceil(itd_max * sample_rate / 2)) + 1
@@ -174,14 +173,6 @@ def save_pack(pack: HrirPack, path) -> None:
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 
-def require_keys(obj, keys, where) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{where} is missing required key {key!r}")
-
-
 @contextmanager
 def _naming(where):
     """Re-raise an input error as a ValueError whose message starts with `where`."""
@@ -191,28 +182,55 @@ def _naming(where):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _from_json(value, hint):
-    """The JSON value of a field annotated `hint`; an int serves for a float.
-    A `tuple[T, ...]` takes a list of any length, a `tuple[A, B]` one value per type."""
-    if hasattr(hint, "from_dict"):
-        return hint.from_dict(value)
+_type_hints = cache(get_type_hints)  # resolved once per class
+
+
+def _from_json(value, hint, where):
+    """The JSON `value` read as a `hint`, each error naming `where`. A dataclass takes an
+    object of exactly its init fields, read by annotation as `<key> in <where>`; an absent
+    or null one with a default takes it. An int serves for a float; a `tuple[T, ...]`
+    takes a list of any length, a `tuple[A, B]` one value per type."""
+    if is_dataclass(hint):
+        if type(value) is not dict:
+            raise ValueError(f"{where} is not a JSON object")
+        spec = {f.name: f for f in fields(hint) if f.init}
+        if unknown := sorted(set(value) - set(spec)):
+            raise ValueError(f"unknown keys in {where}: {', '.join(unknown)}")
+        kwargs = {}
+        for key, f in spec.items():
+            required = f.default is MISSING and f.default_factory is MISSING
+            if key in value and (required or value[key] is not None):
+                kwargs[key] = _from_json(value[key], _type_hints(hint)[key], f"{key} in {where}")
+            elif required:
+                raise ValueError(f"{where} is missing required key {key!r}")
+        with _naming(where):
+            return hint(**kwargs)
     is_list = get_origin(hint) is tuple
     if is_list and type(value) is list:
         args = get_args(hint)
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(args) != len(value):
-            raise ValueError(f"expected {len(args)} values, got {len(value)}")
-        return tuple(_from_json(v, a) for v, a in zip(value, args))
+            raise ValueError(f"{where}: expected {len(args)} values, got {len(value)}")
+        return tuple(_from_json(v, a, where) for v, a in zip(value, args))
     if type(value) is hint or type(value) is int and hint is float:
         return hint(value)
-    raise ValueError(f"expected {'a list' if is_list else hint.__name__}, got {value!r}")
+    raise ValueError(f"{where}: expected {'a list' if is_list else hint.__name__}, got {value!r}")
 
 
-def _json_key(obj: dict, key: str, hint, where):
-    """obj[key] read by `_from_json`; an error names the key and `where`."""
-    with _naming(f"{key} in {where}"):
-        return _from_json(obj[key], hint)
+@dataclass(frozen=True)
+class _IndexEntry:
+    azimuth_deg: float
+    elevation_deg: float
+    left: str
+    right: str
+
+
+@dataclass(frozen=True)
+class _Index:
+    name: str
+    sample_rate: int
+    entries: list  # each read as an `_IndexEntry` that names its position
 
 
 def load_pack(path) -> HrirPack:
@@ -220,33 +238,25 @@ def load_pack(path) -> HrirPack:
     root = Path(path)
     index_path = root / "index.json"
     try:
-        index = json.loads(index_path.read_text())
+        raw = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed index.json under {root}: {exc}") from exc
-    require_keys(index, ("name", "sample_rate", "entries"), index_path)
-    name = _json_key(index, "name", str, index_path)
-    sample_rate = _json_key(index, "sample_rate", int, index_path)
-    raw_entries = index["entries"]
-    if not isinstance(raw_entries, list):
-        raise ValueError(f"{index_path}: entries must be a list, got {raw_entries!r}")
-
+    index = _from_json(raw, _Index, index_path)
     entries = []
-    for i, raw in enumerate(raw_entries):
+    for i, raw_entry in enumerate(index.entries):
         where = f"{index_path} entry {i}"
-        require_keys(raw, ("left", "right", "azimuth_deg", "elevation_deg"), where)
-        az, el = (_json_key(raw, k, float, where) for k in ("azimuth_deg", "elevation_deg"))
+        e = _from_json(raw_entry, _IndexEntry, where)
         with _naming(where):
-            direction = Direction.from_degrees(az, el)
+            direction = Direction.from_degrees(e.azimuth_deg, e.elevation_deg)
         firs = []
-        for ear in ("left", "right"):
-            ref = _json_key(raw, ear, str, where)
+        for ref in (e.left, e.right):
             rate, taps = wavio.read_wav(root / ref, channels=1)
-            if rate != sample_rate:
-                raise ValueError(f"{ref} has sample rate {rate}, pack declares {sample_rate}")
+            if rate != index.sample_rate:
+                raise ValueError(f"{ref} has sample rate {rate}, pack declares {index.sample_rate}")
             firs.append(taps)
-        entries.append(HrirEntry(direction, firs[0], firs[1]))
+        entries.append(HrirEntry(direction, *firs))
     with _naming(index_path):
-        return HrirPack(tuple(entries), sample_rate, name=name)
+        return HrirPack(tuple(entries), index.sample_rate, name=index.name)
 
 
 def load_or_default_pack(path, sample_rate: int) -> HrirPack:

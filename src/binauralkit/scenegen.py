@@ -6,15 +6,17 @@ Scenes hold up to three mono sources, each peak-normalized, gain-scaled
 at its mapped direction; a scene's B-format mix is rendered once through
 the virtual speaker array. Every random draw is keyed off an explicit
 seed, so a (master_seed, index) pair fully determines each emitted byte.
+A dataset config file is read against `DatasetConfig` (its `fov` against
+`FovConfig`) by `hrir._from_json`: exact keys, typed values.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .binaural import (
     render_ambisonic_hrir,
     write_binaural_wav,
 )
-from .hrir import HrirPack, _json_key, _naming, load_or_default_pack, require_keys
+from .hrir import HrirPack, _from_json, _naming, load_or_default_pack
 from .spherical import Direction
 from .visualmap import DEFAULT_FOV, FovConfig, pixel_to_direction
 
@@ -69,6 +71,7 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
+        object.__setattr__(self, "sample_rate", wavio.as_sample_rate(self.sample_rate))
         if not 1 <= len(self.sources) <= MAX_SOURCES:
             raise ValueError(f"scenes hold 1..{MAX_SOURCES} sources, got {len(self.sources)}")
         seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
@@ -225,13 +228,7 @@ def sample_scene(
         v = rng.uniform(-1.0, 1.0)
         gain = rng.uniform(lo, hi)
         sources.append(SceneSource(audio_ref=pool[int(idx)], placement=(u, v), gain=gain))
-    return SceneSpec(
-        sources=tuple(sources),
-        fov=fov,
-        seed=int(rng_seed),
-        sample_rate=sample_rate,
-        duration_s=duration_s,
-    )
+    return SceneSpec(tuple(sources), fov, int(rng_seed), sample_rate, duration_s)
 
 
 def make_separation_pair(
@@ -246,16 +243,8 @@ def make_separation_pair(
     """Two-source scene with the clips pinned to opposite horizontal edges."""
     if clip_a == clip_b:
         raise ValueError("separation pairs need two distinct clips")
-    return SceneSpec(
-        sources=(
-            SceneSource(audio_ref=clip_a, placement=(-1.0, 0.0)),
-            SceneSource(audio_ref=clip_b, placement=(1.0, 0.0)),
-        ),
-        fov=fov,
-        seed=seed,
-        sample_rate=sample_rate,
-        duration_s=duration_s,
-    )
+    sources = (SceneSource(clip_a, (-1.0, 0.0)), SceneSource(clip_b, (1.0, 0.0)))
+    return SceneSpec(sources, fov, seed, sample_rate, duration_s)
 
 
 def scene_seed(master_seed: int, index: int) -> int:
@@ -277,6 +266,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pool", tuple(self.pool))
+        object.__setattr__(self, "sample_rate", wavio.as_sample_rate(self.sample_rate))
         if min(self.master_seed, self.count) < 0:
             raise ValueError(f"master_seed {self.master_seed} and count {self.count} must be >= 0")
         seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
@@ -284,41 +274,27 @@ class DatasetConfig:
 
 
 def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, SpeakerArray]:
-    """Read a dataset config JSON into the arguments of `gen_dataset`.
-
-    The keys are `DatasetConfig`'s fields, `pack` (an HRIR pack folder) and
-    `array` (speaker [azimuth, elevation] pairs in degrees); an absent or null
-    optional key takes the default. Relative paths resolve against the config's
-    folder; each pool clip is read once to check that it is a mono WAV at
-    `sample_rate`. Errors name the config path and the key at fault.
-    """
+    """Read a dataset config JSON into the arguments of `gen_dataset`: `DatasetConfig`'s
+    keys, plus `pack` (an HRIR pack folder) and `array` (speaker [azimuth, elevation]
+    pairs in degrees), null for the default. Relative paths resolve against the config's
+    folder; each pool clip is checked to be a mono WAV at `sample_rate`."""
     path = Path(path)
     with _naming(path):
         raw = json.loads(path.read_text())
-    hints = get_type_hints(DatasetConfig)
-    required = [f.name for f in fields(DatasetConfig)
-                if f.default is MISSING and f.default_factory is MISSING]
-    require_keys(raw, required, path)
-    unknown = sorted(set(raw) - set(hints) - {"pack", "array"})
-    if unknown:
-        raise ValueError(f"unknown keys in {path}: {', '.join(unknown)}")
+    pack_ref, speakers = (raw.pop(k, None) if type(raw) is dict else None for k in ("pack", "array"))
+    config = _from_json(raw, DatasetConfig, path)
     root = path.parent
-    values = {}
-    for name, hint in hints.items():
-        if name in required or raw.get(name) is not None:
-            values[name] = _json_key(raw, name, hint, path)
-    values["output_dir"] = str(root / values["output_dir"])
-    with _naming(path):
-        config = DatasetConfig(**values)
-    pack_dir = None if raw.get("pack") is None else root / _json_key(raw, "pack", str, path)
+    config = replace(config, output_dir=str(root / config.output_dir))
+    pack_dir = None if pack_ref is None else root / _from_json(pack_ref, str, f"pack in {path}")
     with _naming(f"pack in {path}"):
         pack = load_or_default_pack(pack_dir, config.sample_rate)
-    if raw.get("array") is None:
+    if speakers is None:
         arr = default_speaker_array()
     else:
-        speakers = _json_key(raw, "array", tuple[tuple[float, float], ...], path)
-        with _naming(f"array in {path}"):
-            arr = SpeakerArray([Direction.from_degrees(az, el) for az, el in speakers])
+        where = f"array in {path}"
+        degrees = _from_json(speakers, tuple[tuple[float, float], ...], where)
+        with _naming(where):
+            arr = SpeakerArray([Direction.from_degrees(az, el) for az, el in degrees])
     store = WavStore(root)
     for ref in config.pool:  # kept as written; the returned store resolves them
         with _naming(f"pool clip {ref!r} in {path}"):

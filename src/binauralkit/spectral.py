@@ -19,6 +19,7 @@ import numpy as np
 from ._kernels import overlap_add
 from .ambisonic import MonoSignal
 from .binaural import BinauralSignal
+from .wavio import as_sample_rate
 
 NOLA_TOL = 1e-10
 
@@ -37,8 +38,7 @@ class StftConfig:
             raise ValueError(f"win_length {self.win_length} exceeds n_fft {self.n_fft}")
         if self.hop > self.win_length:
             raise ValueError(f"hop {self.hop} exceeds win_length {self.win_length}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        object.__setattr__(self, "sample_rate", as_sample_rate(self.sample_rate))
         # overlap-add invertibility: the squared window summed at hop offsets
         # must stay bounded away from zero for every alignment
         w2 = _padded_window(self) ** 2
@@ -79,10 +79,11 @@ def _padded_window(cfg: StftConfig) -> np.ndarray:
 def stft_config(sample_rate: int) -> StftConfig:
     """The STFT geometry at `sample_rate`: 25 ms and 10 ms rounded half up
     (1102.5 samples give 1103), in the smallest power-of-two frame."""
-    win, hop = int((sample_rate + 20) // 40), int((sample_rate + 50) // 100)
-    if hop <= 0:
+    if sample_rate < 50:
         raise ValueError(f"sample rate {sample_rate} Hz is too low for a 10 ms hop")
-    return StftConfig(1 << (win - 1).bit_length(), win, hop, sample_rate)
+    rate = as_sample_rate(sample_rate)
+    win, hop = (rate + 20) // 40, (rate + 50) // 100
+    return StftConfig(1 << (win - 1).bit_length(), win, hop, rate)
 
 
 DEFAULT_STFT = stft_config(16000)
@@ -204,6 +205,8 @@ def reconstruct_lr(s_m: MonoSignal, diff: MonoSignal) -> BinauralSignal:
     """left = (s_m + diff)/2, right = (s_m - diff)/2."""
     if s_m.n_samples != diff.n_samples:
         raise ValueError(f"lengths differ: {s_m.n_samples} vs {diff.n_samples}")
+    if s_m.sample_rate != diff.sample_rate:
+        raise ValueError(f"sample rates differ: {s_m.sample_rate} vs {diff.sample_rate}")
     return BinauralSignal(
         (s_m.samples + diff.samples) / 2.0,
         (s_m.samples - diff.samples) / 2.0,

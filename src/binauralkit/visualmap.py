@@ -11,7 +11,7 @@ image is what the listener sees, image-left corresponds to positive
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .spherical import Direction
 
@@ -39,14 +39,6 @@ class FovConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FovConfig":
-        """Parse the `to_dict` form, which must hold exactly its three keys."""
-        keys = [f.name for f in fields(cls)]
-        if not isinstance(d, dict) or set(d) != set(keys):
-            raise ValueError(f"expected exactly the keys {', '.join(sorted(keys))}, got {d!r}")
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 DEFAULT_FOV = FovConfig()

@@ -8,6 +8,7 @@ same bytes as `scipy.io.wavfile.write` for both of its formats.
 
 from __future__ import annotations
 
+import numbers
 import struct
 
 import numpy as np
@@ -29,6 +30,14 @@ _FORMATS = {
     (IEEE_FLOAT, 8): ("<f8", 0.0, 1.0),
 }
 _WRITE_FORMATS = {"float32": (IEEE_FLOAT, 4), "pcm16": (PCM, 2)}
+
+
+def as_sample_rate(value) -> int:
+    """`value`, a positive whole number of Hz but no bool, as a Python int."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < float("inf") or value != int(value)):
+        raise ValueError(f"sample_rate must be positive and whole, got {value!r}")
+    return int(value)
 
 
 def _chunks(path, buf: bytes):
@@ -107,6 +116,7 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     if fmt not in _WRITE_FORMATS:
         raise ValueError(f"unsupported wav sample format: {fmt!r}")
     tag, width = _WRITE_FORMATS[fmt]
+    rate = as_sample_rate(sample_rate)
     data = np.asarray(data)
     if data.ndim not in (1, 2):
         raise ValueError(f"WAV data must be 1-D or 2-D, got shape {data.shape}")
@@ -121,7 +131,6 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
         data = np.round(np.clip(data, -1.0, 1.0) * 32767.0)
     samples = data.astype(_FORMATS[tag, width][0])
     channels = 1 if samples.ndim == 1 else samples.shape[1]
-    rate = int(sample_rate)
     fmt_body = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
                            channels * width, 8 * width)
     fact = b""

@@ -23,6 +23,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             MonoSignal(np.zeros(4), 0)
 
+    @pytest.mark.parametrize("cls, n_channels", [(MonoSignal, 1), (BFormat, 4), (BinauralSignal, 2)])
+    @pytest.mark.parametrize("rate", [True, 16000.5, float("nan"), -8000])
+    def test_rate_must_be_a_positive_whole_number(self, cls, n_channels, rate):
+        channels = [np.zeros(4)] * n_channels
+        with pytest.raises(ValueError, match=f"sample_rate must be positive and whole, got {rate}"):
+            cls(*channels, rate)
+
+    @pytest.mark.parametrize("rate", [np.int64(8000), np.uint16(8000), 8000.0])
+    def test_rate_is_stored_as_an_int(self, rate):
+        assert type(MonoSignal(np.zeros(4), rate).sample_rate) is int
+
     def test_bformat_rejects_ragged_channels(self):
         with pytest.raises(ValueError, match=r"^channel lengths differ: \[3, 4\]$"):
             BFormat(np.zeros(4), np.zeros(4), np.zeros(3), np.zeros(4))

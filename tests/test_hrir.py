@@ -33,6 +33,11 @@ class TestPackValidation:
         with pytest.raises(ValueError, match="sample_rate must be positive"):
             HrirPack((entry_at(0, 0),), sample_rate)
 
+    @pytest.mark.parametrize("sample_rate", [True, 16000.5, float("inf")])
+    def test_rejects_a_rate_that_is_not_a_whole_number(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            HrirPack((entry_at(0, 0),), sample_rate)
+
     def test_entry_takes_no_rate(self):
         # the pack's sample_rate is the one rate of its entries
         with pytest.raises(TypeError):
@@ -168,6 +173,11 @@ class TestSynthPack:
         assert np.count_nonzero(e.left_fir) == 1
         assert (np.count_nonzero(e.right_fir) > 1) == lowpass
 
+    @pytest.mark.parametrize("sample_rate", [True, 16000.5, 0])
+    def test_rate_must_be_a_positive_whole_number(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            synth_pack(sample_rate=sample_rate)
+
     def test_lowpass_corner_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             synth_pack(contra_lowpass_hz=3000.0)
@@ -234,7 +244,7 @@ class TestPackIO:
         (tmp_path / "index.json").write_text(json.dumps(index))
         with pytest.raises(ValueError) as info:
             load_pack(tmp_path)
-        assert str(info.value) == f"{tmp_path / 'index.json'}: entries must be a list, got 5"
+        assert str(info.value) == f"entries in {tmp_path / 'index.json'}: expected list, got 5"
 
     def test_stereo_fir_names_the_file(self, tmp_path):
         wavio.write_wav(tmp_path / "l.wav", 16000, np.ones((3, 2)))

@@ -1,0 +1,151 @@
+"""The JSON inputs, dataset configs and HRIR pack indexes, read by one reader.
+
+Every key of every object is read against its dataclass: a value of the
+wrong JSON type fails with an error that names the key, the file and, for
+a pack entry, its position.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from binauralkit import wavio
+from binauralkit.cli import main
+from binauralkit.hrir import load_pack, save_pack, synth_pack
+from binauralkit.scenegen import load_dataset_config
+from binauralkit.spherical import Direction
+from binauralkit.visualmap import FovConfig
+
+SR = 16000
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (key, the JSON kind it is read as, required) for each object of each input
+KEYS = {
+    "dataset": [
+        ("master_seed", "int", True), ("count", "int", True), ("pool", "list", True),
+        ("output_dir", "string", True), ("ratios", "list", False),
+        ("sample_rate", "int", False), ("duration_s", "float", False),
+        ("gain_range", "list", False), ("fov", "object", False), ("pack", "string", False),
+        ("array", "list", False),
+    ],
+    "fov": [("theta_v0", "float", False), ("aspect_hw", "float", False),
+            ("vert_extent", "float", False)],
+    "index": [("name", "string", True), ("sample_rate", "int", True), ("entries", "list", True)],
+    "entry": [("azimuth_deg", "float", True), ("elevation_deg", "float", True),
+              ("left", "string", True), ("right", "string", True)],
+}
+WRONG = {"bool": True, "string": "1", "list": [1.0], "object": {"a": 1}, "null": None}
+
+
+def wrong_values():
+    for place, keys in KEYS.items():
+        for key, kind, required in keys:
+            for name, value in WRONG.items():
+                if name != kind and (name != "null" or required):
+                    yield pytest.param(place, key, value, id=f"{place}-{key}-{name}")
+
+
+def write_pool(root) -> list[str]:
+    for i in range(3):
+        wavio.write_wav(root / f"c{i}.wav", SR, np.full(SR // 10, 0.1 * (i + 1)))
+    return [f"c{i}.wav" for i in range(3)]
+
+
+def write_config(root, **overrides):
+    config = {"master_seed": 7, "count": 2, "pool": write_pool(root), "output_dir": "out",
+              "duration_s": 0.05}
+    config.update(overrides)
+    path = root / "dataset.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def write_index(root, index_change=(), entry_change=()):
+    for ear in "lr":
+        wavio.write_wav(root / f"{ear}.wav", SR, np.array([1.0, 0.5]))
+    e = {"azimuth_deg": 0, "elevation_deg": 0, "left": "l.wav", "right": "r.wav"}
+    index = {"name": "two", "sample_rate": SR,
+             "entries": [e, {**e, "azimuth_deg": 90, **dict(entry_change)}]}
+    index.update(index_change)
+    path = root / "index.json"
+    path.write_text(json.dumps(index))
+    return path
+
+
+@pytest.mark.parametrize("place, key, value", wrong_values())
+def test_wrong_json_type_is_named(tmp_path, capsys, place, key, value):
+    if place in ("dataset", "fov"):
+        fov = {"theta_v0": 0.5, "aspect_hw": 0.75, "vert_extent": 0.25, key: value}
+        path = write_config(tmp_path, **({"fov": fov} if place == "fov" else {key: value}))
+        assert main(["dataset", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert (f"{key} in fov in {path}" if place == "fov" else f"{key} in {path}") in err
+        assert not (tmp_path / "out").exists()
+    else:
+        change = {key: value}
+        path = write_index(tmp_path, *((change, ()) if place == "index" else ((), change)))
+        with pytest.raises(ValueError) as info:
+            load_pack(tmp_path)
+        where = f"{path}" if place == "index" else f"{path} entry 1"
+        assert str(info.value).startswith(f"{key} in {where}")
+
+
+def test_mistyped_fov_fails_before_work(tmp_path, capsys):
+    fov = {"theta_v0": True, "aspect_hw": "0.5", "vert_extent": 1}
+    path = write_config(tmp_path, fov=fov)
+    assert main(["dataset", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: theta_v0 in fov in {path}: expected float, got True\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_fov_key_is_rejected(tmp_path):
+    path = write_config(tmp_path, fov={"theta_v0": 0.5, "vert_extnt": 1.0})
+    with pytest.raises(ValueError) as info:
+        load_dataset_config(path)
+    assert str(info.value) == f"unknown keys in fov in {path}: vert_extnt"
+
+
+@pytest.mark.parametrize("index_change, entry_change, where", [
+    ({"gain": 1.0}, {}, "{index}"),
+    ({}, {"gain": 1.0}, "{index} entry 1"),
+], ids=["index", "entry"])
+def test_unknown_index_key_is_rejected(tmp_path, index_change, entry_change, where):
+    path = write_index(tmp_path, index_change, entry_change)
+    with pytest.raises(ValueError) as info:
+        load_pack(tmp_path)
+    assert str(info.value) == f"unknown keys in {where.format(index=path)}: gain"
+
+
+def test_missing_fov_key_takes_its_default(tmp_path):
+    config, *_ = load_dataset_config(write_config(tmp_path, fov={"theta_v0": 0.5}))
+    assert config.fov == FovConfig(theta_v0=0.5)
+    config, *_ = load_dataset_config(write_config(tmp_path, fov={"aspect_hw": None}))
+    assert config.fov == FovConfig()
+
+
+def test_saved_pack_loads_to_an_equal_pack(tmp_path):
+    pack = synth_pack(n_azimuths=6)
+    save_pack(pack, tmp_path)
+    back = load_pack(tmp_path)
+    assert (back.name, back.sample_rate) == (pack.name, pack.sample_rate)
+    for a, b in zip(pack.entries, back.entries, strict=True):
+        assert b.direction == Direction.from_degrees(*np.degrees(
+            [a.direction.azimuth, a.direction.elevation]))
+        for fir_a, fir_b in ((a.left_fir, b.left_fir), (a.right_fir, b.right_fir)):
+            np.testing.assert_array_equal(fir_a.astype(np.float32), fir_b)
+
+
+def test_readme_index_example_loads(tmp_path):
+    # the JSON block under "HRIR pack format" in the README
+    text = README.read_text().split("### HRIR pack format", 1)[1]
+    index = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+    (tmp_path / "index.json").write_text(json.dumps(index))
+    wavio.write_wav(tmp_path / "d000_L.wav", SR, np.array([1.0, 0.0]))
+    wavio.write_wav(tmp_path / "d000_R.wav", SR, np.array([0.5, 0.0]))
+    pack = load_pack(tmp_path)
+    assert (pack.name, pack.sample_rate, len(pack.entries)) == ("...", SR, 1)
+    assert pack.entries[0].direction == Direction(0.0, 0.0)
+    np.testing.assert_array_equal(pack.entries[0].right_fir, [0.5, 0.0])

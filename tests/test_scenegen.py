@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestSceneTypes:
             SceneSpec(sources=())
         with pytest.raises(ValueError):
             SceneSpec(sources=(src,) * 4)
+
+    @pytest.mark.parametrize("rate", [True, 16000.5, 0])
+    def test_rate_must_be_a_positive_whole_number(self, rate):
+        src = SceneSource("clip0", (0.0, 0.0))
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            SceneSpec(sources=(src,), sample_rate=rate)
 
     def test_placement_is_a_pixel_pair(self):
         with pytest.raises(TypeError):
@@ -290,6 +297,11 @@ class TestGenDataset:
             output_dir=str(out),
             duration_s=0.05,
         )
+
+    @pytest.mark.parametrize("rate", [True, 16000.5, float("nan")])
+    def test_rate_must_be_a_positive_whole_number(self, tmp_path, rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            replace(self.make_config(tmp_path), sample_rate=rate)
 
     def test_count_zero_writes_empty_manifest(self, tmp_path, store, pack, arr):
         manifest = gen_dataset(self.make_config(tmp_path / "d", count=0), store, pack, arr)

@@ -62,6 +62,14 @@ class TestConfig:
         np.testing.assert_array_equal(padded[56:456], get_window("hann", 400, fftbins=True))
         assert not padded[:56].any() and not padded[456:].any()
 
+    @pytest.mark.parametrize("rate", [True, 16000.5, float("nan")])
+    def test_rejects_a_rate_that_is_not_a_whole_number(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            StftConfig(n_fft=512, win_length=400, hop=160, sample_rate=rate)
+        if rate is not True:  # a bool is a rate of 1 Hz, too low for a hop
+            with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+                stft_config(rate)
+
     def test_rejects_overlap_add_violation(self):
         # hann at hop == win leaves zero-coverage sample offsets
         with pytest.raises(ValueError, match="overlap-add"):
@@ -256,6 +264,11 @@ class TestReconstruct:
         out = reconstruct_lr(mono(l + r), mono(l - r))
         np.testing.assert_allclose(out.left, l, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(out.right, r, rtol=1e-14, atol=1e-15)
+
+    def test_diff_at_another_rate_rejected(self):
+        s_m, diff = MonoSignal(np.zeros(100), 16000), MonoSignal(np.zeros(100), 8000)
+        with pytest.raises(ValueError, match="^sample rates differ: 16000 vs 8000$"):
+            reconstruct_lr(s_m, diff)
 
     def test_full_pipeline_round_trip(self):
         rng = np.random.default_rng(14)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binauralkit.hrir import _from_json
 from binauralkit.spherical import Direction
 from binauralkit.visualmap import (
     DEFAULT_FOV,
@@ -29,20 +30,26 @@ class TestFovConfig:
             FovConfig(vert_extent=0.0)
 
     @pytest.mark.parametrize(
-        "raw",
+        "raw, message",
         [
-            {"theta_v0": 1.0, "aspect_hw": 0.4},
-            {"theta_v0": 1.0, "aspect_hw": 0.4, "vert_extent": 0.9, "vert_extnt": 0.9},
-            [1.0, 0.4, 0.9],
+            ({"theta_v0": 1.0, "aspect_hw": 0.4, "vert_extent": 0.9, "vert_extnt": 0.9},
+             "unknown keys in fov: vert_extnt"),
+            ([1.0, 0.4, 0.9], "fov is not a JSON object"),
         ],
+        ids=["unknown-key", "list"],
     )
-    def test_from_dict_needs_exactly_its_keys(self, raw):
-        with pytest.raises(ValueError, match="expected exactly the keys aspect_hw, theta_v0, vert_extent"):
-            FovConfig.from_dict(raw)
+    def test_reader_takes_an_object_of_its_keys_only(self, raw, message):
+        with pytest.raises(ValueError) as info:
+            _from_json(raw, FovConfig, "fov")
+        assert str(info.value) == message
+
+    def test_reader_fills_a_missing_key_with_its_default(self):
+        raw = {"theta_v0": 1.0, "aspect_hw": 0.4}
+        assert _from_json(raw, FovConfig, "fov") == FovConfig(theta_v0=1.0, aspect_hw=0.4)
 
     def test_dict_round_trip(self):
         cfg = FovConfig(theta_v0=1.0, aspect_hw=0.4, vert_extent=0.9)
-        assert FovConfig.from_dict(cfg.to_dict()) == cfg
+        assert _from_json(cfg.to_dict(), FovConfig, "fov") == cfg
 
 
 class TestForwardMap:

@@ -171,6 +171,25 @@ class TestReaderMatchesScipy:
         self.check(path, channels)
 
 
+class TestSampleRate:
+    @pytest.mark.parametrize("rate", [8000, np.int64(8000), np.uint32(8000), 8000.0, np.float32(8000)])
+    def test_whole_positive_rate_is_a_python_int(self, rate):
+        assert type(wavio.as_sample_rate(rate)) is int and wavio.as_sample_rate(rate) == 8000
+
+    @pytest.mark.parametrize("rate", [True, np.bool_(True), 0, -16000, 16000.7, float("nan"),
+                                      float("inf"), "16000", None])
+    def test_anything_else_is_named(self, rate):
+        with pytest.raises(ValueError) as info:
+            wavio.as_sample_rate(rate)
+        assert str(info.value) == f"sample_rate must be positive and whole, got {rate!r}"
+
+    @pytest.mark.parametrize("rate", [16000.7, True])
+    def test_writer_rejects_the_rate_before_it_writes(self, tmp_path, rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
+            wavio.write_wav(tmp_path / "x.wav", rate, np.zeros(8))
+        assert not (tmp_path / "x.wav").exists()
+
+
 class TestRejected:
     def read_fails(self, path, *needles):
         with pytest.raises(ValueError) as info:

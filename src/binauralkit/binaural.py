@@ -6,7 +6,9 @@ pseudoinverse of the 4 x M harmonic matrix), then convolves each virtual
 feed with the HRIR pair nearest its speaker direction and sums per ear.
 All three stages are linear and time-invariant, so they run as one
 precomputed 4-in/2-out FIR per (array, pack), cached by object identity;
-the FIRs of packs and the matrices of arrays are read-only.
+the FIRs of packs and the matrices of arrays are read-only. The direct
+HRIR decoder is the same FIR call (`fft_convolve`) with the nearest pair
+as a 1-in/2-out filter.
 """
 
 from __future__ import annotations
@@ -102,25 +104,41 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def fft_convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Linear convolution via real FFT, trimmed to the first len(x) samples."""
-    n_fft = _smooth_length(len(x) + len(taps) - 1)
-    y = np.fft.irfft(np.fft.rfft(x, n_fft) * np.fft.rfft(taps, n_fft), n_fft)
-    return y[: len(x)]
+def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
+    """y[e] = sum_c x[c] * firs[e, c] (linear convolution) by real FFT, trimmed
+    to the first n samples: a (C, n) block and (E, C, taps) filters give (E, n)."""
+    n = x.shape[-1]
+    n_fft = _smooth_length(n + firs.shape[-1] - 1)
+    spectrum = np.einsum("ecf,cf->ef", np.fft.rfft(firs, n_fft), np.fft.rfft(x, n_fft))
+    # Written over the spectrum, the result holds its memory until the caller
+    # has copied the rows; freed earlier, it leaves the heap top free past
+    # glibc's trim threshold, and each 10 s render faults ~8 MB back in.
+    out = spectrum.view(np.float64)[:, :n]
+    out[...] = np.fft.irfft(spectrum, n_fft)[:, :n]
+    return out
+
+
+def _render(sig: _Signal, firs: np.ndarray, pack: HrirPack) -> BinauralSignal:
+    """`fft_convolve` of the signal's channels with `firs`, built from `pack`."""
+    if sig.sample_rate != pack.sample_rate:
+        raise ValueError(f"signal rate {sig.sample_rate} != pack rate {pack.sample_rate}")
+    return BinauralSignal(*fft_convolve(sig.data, firs), sig.sample_rate)
+
+
+def _ear_pairs(entries) -> np.ndarray:
+    """The entries' FIRs as h[ear, m, t], shaped (2, M, taps); shorter FIRs
+    are zero-padded to the longest."""
+    n_taps = max(max(len(e.left_fir), len(e.right_fir)) for e in entries)
+    h = np.zeros((2, len(entries), n_taps))
+    for m, e in enumerate(entries):
+        h[0, m, : len(e.left_fir)] = e.left_fir
+        h[1, m, : len(e.right_fir)] = e.right_fir
+    return h
 
 
 def render_direct_hrir(source: MonoSignal, direction: Direction, pack: HrirPack) -> BinauralSignal:
     """Convolve the source with the HRIR pair nearest the given direction."""
-    if source.sample_rate != pack.sample_rate:
-        raise ValueError(
-            f"source rate {source.sample_rate} != pack rate {pack.sample_rate}"
-        )
-    entry = nearest(pack, direction)
-    return BinauralSignal(
-        fft_convolve(source.samples, entry.left_fir),
-        fft_convolve(source.samples, entry.right_fir),
-        source.sample_rate,
-    )
+    return _render(source, _ear_pairs([nearest(pack, direction)]), pack)
 
 
 def project_to_speakers(b: BFormat, arr: SpeakerArray) -> list[MonoSignal]:
@@ -132,18 +150,12 @@ def project_to_speakers(b: BFormat, arr: SpeakerArray) -> list[MonoSignal]:
 def _ear_filters(arr: SpeakerArray, pack: HrirPack) -> np.ndarray:
     """G[ear, c, t] = sum_m D+[m, c] h_ear,m[t], shaped (2, 4, taps).
 
-    h_ear,m is the HRIR nearest speaker m; shorter FIRs are zero-padded to
-    the longest. Both arguments are eq=False dataclasses, so the cache is
-    keyed by identity; the result is read-only because every caller
-    shares it.
+    h_ear,m is the HRIR nearest speaker m, zero-padded by `_ear_pairs`.
+    Both arguments are eq=False dataclasses, so the cache is keyed by
+    identity; the result is read-only because every caller shares it.
     """
     entries = [nearest(pack, d) for d in arr.directions]
-    n_taps = max(max(len(e.left_fir), len(e.right_fir)) for e in entries)
-    h = np.zeros((2, len(entries), n_taps))
-    for m, e in enumerate(entries):
-        h[0, m, : len(e.left_fir)] = e.left_fir
-        h[1, m, : len(e.right_fir)] = e.right_fir
-    g = np.einsum("mc,emt->ect", arr.d_pinv, h)
+    g = np.einsum("mc,emt->ect", arr.d_pinv, _ear_pairs(entries))
     g.flags.writeable = False
     return g
 
@@ -152,15 +164,7 @@ def render_ambisonic_hrir(b: BFormat, arr: SpeakerArray, pack: HrirPack) -> Bina
     """Project onto the virtual array, convolve each feed with its nearest
     HRIR pair, and sum per ear, as one 4-in/2-out FIR over the B-format
     channels."""
-    if b.sample_rate != pack.sample_rate:
-        raise ValueError(f"b-format rate {b.sample_rate} != pack rate {pack.sample_rate}")
-    g = _ear_filters(arr, pack)
-    n = b.n_samples
-    n_fft = _smooth_length(n + g.shape[-1] - 1)
-    spectrum = np.einsum(
-        "ecf,cf->ef", np.fft.rfft(g, n_fft), np.fft.rfft(b.data, n_fft)
-    )
-    return BinauralSignal(*np.fft.irfft(spectrum, n_fft)[:, :n], b.sample_rate)
+    return _render(b, _ear_filters(arr, pack), pack)
 
 
 def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:

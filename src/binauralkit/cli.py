@@ -79,9 +79,8 @@ def cmd_render(args) -> int:
 def cmd_dataset(args) -> int:
     config, store, pack, arr = load_dataset_config(args.config)
     manifest = gen_dataset(config, store, pack, arr)
-    out_dir = Path(config.output_dir)
-    ks = [len(json.loads((out_dir / m["scene_json"]).read_text())["sources"]) for m in manifest]
-    print(f"wrote {len(manifest)} scenes to {out_dir}")
+    ks = [len(m["source_wavs"]) for m in manifest]
+    print(f"wrote {len(manifest)} scenes to {Path(config.output_dir)}")
     print(f"sources per scene: K=1: {ks.count(1)}, K=2: {ks.count(2)}, K=3: {ks.count(3)}")
     return 0
 

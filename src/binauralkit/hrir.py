@@ -7,6 +7,9 @@ A pack is a directory holding one mono WAV per ear per direction and an
      "entries": [{"azimuth_deg": ..., "elevation_deg": ...,
                   "left": "d000_L.wav", "right": "d000_R.wav"}, ...]}
 
+The index's ``sample_rate`` is checked before any WAV is read, and a WAV
+at another rate is reported under its entry's position.
+
 Synthetic packs model a spherical head: Woodworth arrival-time offsets,
 a configurable broadside level difference, and a one-pole low-pass at
 ``CONTRA_LOWPASS_HZ`` that shadows the far ear when that corner lies below
@@ -242,6 +245,8 @@ def load_pack(path) -> HrirPack:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed index.json under {root}: {exc}") from exc
     index = _from_json(raw, _Index, index_path)
+    with _naming(f"sample_rate in {index_path}"):  # before any WAV is compared with it
+        wavio.as_sample_rate(index.sample_rate)
     entries = []
     for i, raw_entry in enumerate(index.entries):
         where = f"{index_path} entry {i}"
@@ -252,7 +257,8 @@ def load_pack(path) -> HrirPack:
         for ref in (e.left, e.right):
             rate, taps = wavio.read_wav(root / ref, channels=1)
             if rate != index.sample_rate:
-                raise ValueError(f"{ref} has sample rate {rate}, pack declares {index.sample_rate}")
+                raise ValueError(f"{where}: {ref} has sample rate {rate}, "
+                                 f"pack declares {index.sample_rate}")
             firs.append(taps)
         entries.append(HrirEntry(direction, *firs))
     with _naming(index_path):

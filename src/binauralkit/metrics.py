@@ -3,7 +3,7 @@
 All distances follow the sliding-window protocol (0.63 s window, 0.1 s
 hop) by default; pass ``window_s=None`` for whole-signal variants.
 Channel contributions are summed, window results averaged. The STFT
-follows the pair's rate (`spectral.stft_config`); only 16 kHz figures
+follows the pair's rate (`spectral.StftConfig(rate)`); only 16 kHz figures
 match the paper's protocol. The phase distance is the mean absolute
 principal-value phase difference between the l-r spectrograms, so its
 range is [0, pi] and the phase of an exactly zero bin counts as 0.
@@ -19,7 +19,7 @@ import numpy as np
 from ._kernels import phase_mean_abs
 from .ambisonic import seconds_to_samples
 from .binaural import BinauralSignal
-from .spectral import Spectrogram, StftConfig, _check_same_config, _stft_bins, stft_config
+from .spectral import Spectrogram, StftConfig, _check_same_config, _stft_bins
 
 DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
@@ -177,7 +177,7 @@ def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
 def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     """Mean |principal-value phase difference| between a predicted l-r
     spectrogram and the ground truth's, which must share its sample rate."""
-    _check_same_config(stft_config(gt.sample_rate), pred_diff_spec.config)
+    _check_same_config(StftConfig(gt.sample_rate), pred_diff_spec.config)
     gt_diff = _spectra(gt.left - gt.right, gt.sample_rate)
     if gt_diff.shape != pred_diff_spec.shape:
         raise ValueError(
@@ -222,5 +222,5 @@ def evaluate(
         windows=len(terms),
         window_s=window_s,
         hop_s=None if window_s is None else hop_s,  # one window: the hop is unused
-        stft_config=stft_config(sr),
+        stft_config=StftConfig(sr),
     )

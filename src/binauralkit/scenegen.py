@@ -338,12 +338,13 @@ def gen_dataset(
             raise RuntimeError(f"scene {i} failed: {exc}") from exc
         stem = f"scene_{i:05d}"
         item = {"index": i, "scene_json": f"{stem}.json",
-                "binaural_wav": f"{stem}_binaural.wav", "mono_wav": f"{stem}_mix.wav"}
+                "binaural_wav": f"{stem}_binaural.wav", "mono_wav": f"{stem}_mix.wav",
+                "source_wavs": [f"{stem}_src{j}.wav" for j in range(len(pair.per_source_mono))]}
         (out / item["scene_json"]).write_text(json.dumps(pair.metadata, indent=2, sort_keys=True))
         write_binaural_wav(out / item["binaural_wav"], pair.binaural)
         wavio.write_wav(out / item["mono_wav"], config.sample_rate, pair.mono_mix.samples)
-        for j, src in enumerate(pair.per_source_mono):
-            wavio.write_wav(out / f"{stem}_src{j}.wav", config.sample_rate, src.samples)
+        for name, src in zip(item["source_wavs"], pair.per_source_mono):
+            wavio.write_wav(out / name, config.sample_rate, src.samples)
         manifest.append(item)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest

@@ -120,6 +120,10 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     data = np.asarray(data)
     if data.ndim not in (1, 2):
         raise ValueError(f"WAV data must be 1-D or 2-D, got shape {data.shape}")
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    for name, value in (("sample rate", rate), ("byte rate", rate * channels * width)):
+        if value > 0xFFFFFFFF:
+            raise ValueError(f"{path}: {name} {value} exceeds the 32-bit field of a WAV header")
     nbytes = data.size * width
     # the RIFF size counts "WAVE", the fmt, fact and data chunk headers and the samples
     riff_size = (36 if tag == PCM else 50) + nbytes
@@ -130,7 +134,6 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     if tag == PCM:
         data = np.round(np.clip(data, -1.0, 1.0) * 32767.0)
     samples = data.astype(_FORMATS[tag, width][0])
-    channels = 1 if samples.ndim == 1 else samples.shape[1]
     fmt_body = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
                            channels * width, 8 * width)
     fact = b""

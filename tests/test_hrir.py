@@ -267,8 +267,10 @@ class TestPackIO:
             ],
         }
         (tmp_path / "index.json").write_text(json.dumps(index))
-        with pytest.raises(ValueError, match="sample rate"):
+        with pytest.raises(ValueError) as info:
             load_pack(tmp_path)
+        assert str(info.value) == (f"{tmp_path / 'index.json'} entry 0: l.wav has sample rate "
+                                   "44100, pack declares 16000")
 
     @pytest.mark.parametrize("entry, change, message", [
         (1, {"azimuth_deg": "ninety"}, "azimuth_deg in {index} entry 1: expected float, got 'ninety'"),
@@ -280,6 +282,11 @@ class TestPackIO:
         (None, {"sample_rate": 16000.7}, "sample_rate in {index}: expected int, got 16000.7"),
         (None, {"sample_rate": "16000"}, "sample_rate in {index}: expected int, got '16000'"),
         (None, {"sample_rate": True}, "sample_rate in {index}: expected int, got True"),
+        # checked before the WAVs at 16 kHz are compared with it
+        (None, {"sample_rate": 0}, "sample_rate in {index}: sample_rate must be positive and "
+         "whole, got 0"),
+        (None, {"sample_rate": -16000}, "sample_rate in {index}: sample_rate must be positive "
+         "and whole, got -16000"),
     ])
     def test_malformed_index_value_is_named(self, tmp_path, entry, change, message):
         wavio.write_wav(tmp_path / "l.wav", 16000, np.array([1.0]))

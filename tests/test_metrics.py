@@ -17,7 +17,7 @@ from binauralkit.metrics import (
     snr,
     stft_distance,
 )
-from binauralkit.spectral import Spectrogram, stft, stft_config
+from binauralkit.spectral import Spectrogram, StftConfig, stft
 
 SR = 16000
 
@@ -247,7 +247,7 @@ class TestEvaluate:
         gt, pred = (BinauralSignal(*rng.normal(size=(2, 4000)), 8000) for _ in range(2))
         report = evaluate(gt, pred, 0.2, 0.05)
         assert (report.window_s, report.hop_s) == (0.2, 0.05)
-        assert report.stft_config == stft_config(8000)
+        assert report.stft_config == StftConfig(8000)
         assert report.to_dict()["config"] == {
             "window_s": 0.2, "hop_s": 0.05, "stft": {"n_fft": 256, "win": 200, "hop": 80}
         }

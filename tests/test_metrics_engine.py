@@ -27,7 +27,7 @@ from binauralkit.metrics import (
     mag_distance,
     stft_distance,
 )
-from binauralkit.spectral import DEFAULT_STFT, stft, stft_config
+from binauralkit.spectral import DEFAULT_STFT, StftConfig, stft
 
 SR = 16000
 
@@ -149,7 +149,7 @@ def pairs(draw):
     the STFT's hop grid, channels that may be equal (zero l-r spectra) and a
     ground truth whose first window may be silent."""
     sr = draw(st.sampled_from([SR, 8000]))
-    cfg = stft_config(sr)
+    cfg = StftConfig(sr)
     shortest = max(cfg.win_length, cfg.n_fft // 2 + 1)
     if draw(st.booleans()):
         window_s, hop_s = None, 0.1
@@ -252,7 +252,7 @@ class TestChecks:
         # the loops at the 8 kHz geometry (256/200/80), which the engine reads
         # from the pair's rate
         rng = np.random.default_rng(6)
-        sr, cfg = 8000, stft_config(8000)
+        sr, cfg = 8000, StftConfig(8000)
         gt = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
         pred = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
         assert stft_distance(gt, pred) == oracle_stft_distance(gt, pred, cfg)

@@ -1,4 +1,6 @@
-"""The ambisonic renderer's precomputed ear filter against the per-speaker path.
+"""The HRIR renderers' FFT convolution against np.convolve: the ambisonic
+renderer's precomputed ear filter against the per-speaker path, and the
+direct renderer against each ear's own convolution.
 
 The oracle is the renderer as the processing chain states it: project the
 B-format field onto the virtual speakers, convolve each feed with the HRIR
@@ -25,6 +27,7 @@ from binauralkit.binaural import (
     fft_convolve,
     project_to_speakers,
     render_ambisonic_hrir,
+    render_direct_hrir,
 )
 from binauralkit.hrir import HrirEntry, HrirPack, nearest, synth_pack
 from binauralkit.spherical import Direction
@@ -152,6 +155,23 @@ class TestEquivalence:
         assert_matches_oracle(b, default_speaker_array(), pack)
 
 
+class TestDirectRender:
+    @settings(max_examples=60, deadline=None)
+    @given(direction=directions, n=lengths, seed=seeds, pack_seed=seeds, uneven=st.booleans())
+    @example(direction=(0.5, -0.2), n=1, seed=2, pack_seed=3, uneven=True)
+    @example(direction=(-2.0, 0.3), n=131, seed=4, pack_seed=5, uneven=True)
+    def test_matches_np_convolve_per_ear(self, direction, n, seed, pack_seed, uneven):
+        # the nearest pair, shorter ear zero-padded, against each ear's own np.convolve
+        pack = uneven_pack(pack_seed) if uneven else synth_pack(n_azimuths=7 + pack_seed % 30)
+        source = MonoSignal(np.random.default_rng(seed).normal(size=n), pack.sample_rate)
+        got = render_direct_hrir(source, Direction(*direction), pack)
+        entry = nearest(pack, Direction(*direction))
+        for out, fir in ((got.left, entry.left_fir), (got.right, entry.right_fir)):
+            want = np.convolve(source.samples, fir)[:n]
+            scale = np.convolve(np.abs(source.samples), np.abs(fir)).max()
+            assert np.max(np.abs(out - want)) <= REL_TOL * scale
+
+
 class TestEarFilterCache:
     def test_alternating_pairs_get_their_own_output(self):
         packs = (synth_pack(n_azimuths=24, ild_db=6.0), synth_pack(n_azimuths=8, ild_db=18.0))
@@ -187,17 +207,22 @@ class TestEarFilterCache:
 
 class TestFftConvolve:
     def test_matches_np_convolve(self):
+        # a (2, n) block through (3, 2, k) filters: each output row is the
+        # sum over the two channels of their np.convolve with its filters
         rng = np.random.default_rng(41)
-        x_all = rng.normal(size=300)
-        h_all = rng.normal(size=64)
+        x_all = rng.normal(size=(2, 300))
+        h_all = rng.normal(size=(3, 2, 64))
         for n in range(1, 301):
-            x = x_all[:n]
+            x = x_all[:, :n]
             for k in range(1, 65):
-                h = h_all[:k]
-                want = np.convolve(x, h)[:n]
-                scale = np.convolve(np.abs(x), np.abs(h)).max()
-                err = np.max(np.abs(fft_convolve(x, h) - want))
-                assert err <= REL_TOL * scale, (n, k, err)
+                h = h_all[:, :, :k]
+                got = fft_convolve(x, h)
+                assert got.shape == (3, n)
+                for e in range(3):
+                    want = sum(np.convolve(x[c], h[e, c])[:n] for c in range(2))
+                    scale = sum(np.convolve(np.abs(x[c]), np.abs(h[e, c])) for c in range(2)).max()
+                    err = np.max(np.abs(got[e] - want))
+                    assert err <= REL_TOL * scale, (n, k, e, err)
 
     def test_smooth_length_is_the_next_5_smooth_number(self):
         def is_smooth(m):

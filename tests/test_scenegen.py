@@ -323,8 +323,12 @@ class TestGenDataset:
             assert (out / item["binaural_wav"]).is_file()
             assert (out / item["mono_wav"]).is_file()
             meta = json.loads((out / item["scene_json"]).read_text())
-            for j in range(len(meta["sources"])):
-                assert (out / f"scene_{item['index']:05d}_src{j}.wav").is_file()
+            stem = f"scene_{item['index']:05d}"
+            assert item["source_wavs"] == [f"{stem}_src{j}.wav" for j in range(len(meta["sources"]))]
+        listed = {"manifest.json"}
+        for item in manifest:
+            listed |= {item["scene_json"], item["binaural_wav"], item["mono_wav"], *item["source_wavs"]}
+        assert {p.name for p in out.iterdir()} == listed
 
     def test_k_histogram_within_loose_binomial_bounds(self, tmp_path, store, pack, arr):
         out = tmp_path / "h"

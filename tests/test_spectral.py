@@ -7,6 +7,7 @@ from scipy.signal import get_window
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.spectral import (
     DEFAULT_STFT,
+    NOLA_TOL,
     ComplexMask,
     Spectrogram,
     StftConfig,
@@ -21,7 +22,6 @@ from binauralkit.spectral import (
     oracle_mask,
     reconstruct_lr,
     stft,
-    stft_config,
 )
 
 SR = 16000
@@ -38,24 +38,21 @@ def rand_spec(rng, cfg=DEFAULT_STFT, frames=16):
 
 class TestConfig:
     def test_defaults(self):
-        assert DEFAULT_STFT == StftConfig(n_fft=512, win_length=400, hop=160, sample_rate=SR)
-        assert DEFAULT_STFT is stft_config(SR)
+        assert DEFAULT_STFT == StftConfig(SR)
+        assert (DEFAULT_STFT.n_fft, DEFAULT_STFT.win_length, DEFAULT_STFT.hop) == (512, 400, 160)
         assert DEFAULT_STFT.n_bins == 257
 
-    def test_rejects_win_longer_than_fft(self):
-        with pytest.raises(ValueError):
-            StftConfig(n_fft=256, win_length=400, hop=160, sample_rate=SR)
-
-    def test_rejects_hop_longer_than_win(self):
-        with pytest.raises(ValueError):
-            StftConfig(n_fft=512, win_length=256, hop=400, sample_rate=SR)
-
     def test_window_is_periodic_hann(self):
-        # bit-exact against the periodic Hann of scipy, 1-sample window included
+        # bit-exact against the periodic Hann of scipy, 1-sample window included;
+        # a rate of 40n - 20 Hz (50 Hz for n = 1) has an n-sample window
         for n in range(1, 1025):
-            cfg = StftConfig(n_fft=n, win_length=n, hop=1, sample_rate=SR)
+            cfg = StftConfig(max(50, 40 * n - 20))
+            assert cfg.win_length == n
+            off = (cfg.n_fft - n) // 2
+            padded = _padded_window(cfg)
             expected = get_window("hann", n, fftbins=True)
-            np.testing.assert_array_equal(_padded_window(cfg), expected, err_msg=f"n={n}")
+            np.testing.assert_array_equal(padded[off : off + n], expected, err_msg=f"n={n}")
+            assert not padded[:off].any() and not padded[off + n :].any()
 
     def test_window_is_centered_in_the_frame(self):
         padded = _padded_window(DEFAULT_STFT)
@@ -65,15 +62,7 @@ class TestConfig:
     @pytest.mark.parametrize("rate", [True, 16000.5, float("nan")])
     def test_rejects_a_rate_that_is_not_a_whole_number(self, rate):
         with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
-            StftConfig(n_fft=512, win_length=400, hop=160, sample_rate=rate)
-        if rate is not True:  # a bool is a rate of 1 Hz, too low for a hop
-            with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
-                stft_config(rate)
-
-    def test_rejects_overlap_add_violation(self):
-        # hann at hop == win leaves zero-coverage sample offsets
-        with pytest.raises(ValueError, match="overlap-add"):
-            StftConfig(n_fft=512, win_length=400, hop=400, sample_rate=SR)
+            StftConfig(rate)
 
 
 class TestRule:
@@ -88,29 +77,41 @@ class TestRule:
         (50, 1, 1, 1),
     ])
     def test_geometry_at_standard_rates(self, sr, n_fft, win, hop):
-        assert stft_config(sr) == StftConfig(n_fft, win, hop, sr)
+        cfg = StftConfig(sr)
+        assert (cfg.sample_rate, cfg.n_fft, cfg.win_length, cfg.hop) == (sr, n_fft, win, hop)
 
     @pytest.mark.parametrize("sr", [np.int64(SR), np.int32(SR), float(SR)])
     def test_rate_of_another_numeric_type_gets_the_same_geometry(self, sr):
-        # signals accept numpy and float rates; the geometry stays in Python
-        # ints (bypassing the cache, which holds the int 16000's config)
-        cfg = stft_config.__wrapped__(sr)
-        assert cfg == DEFAULT_STFT
+        # signals accept numpy and float rates; the geometry stays in Python ints
+        cfg = StftConfig(sr)
+        assert cfg == DEFAULT_STFT and hash(cfg) == hash(DEFAULT_STFT)
+        assert type(cfg.sample_rate) is int
         assert all(type(v) is int for v in cfg.to_dict().values())
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(50, 192000))
     def test_every_rate_passes_the_config_checks(self, sr):
-        # constructing the config runs every check, overlap-add included
-        cfg = stft_config(sr)
+        cfg = StftConfig(sr)
         assert abs(cfg.win_length - sr / 40) <= 0.5 and abs(cfg.hop - sr / 100) <= 0.5
         assert cfg.n_fft & (cfg.n_fft - 1) == 0  # a power of two
         assert cfg.n_fft // 2 < cfg.win_length <= cfg.n_fft  # the smallest that holds it
+        assert cfg.hop <= cfg.win_length
+        # overlap-add invertibility, which istft relies on: the squared window
+        # summed at hop offsets stays bounded away from zero for every alignment
+        w2 = _padded_window(cfg) ** 2
+        cover = np.array([w2[r :: cfg.hop].sum() for r in range(cfg.hop)])
+        assert cover.min() >= NOLA_TOL
 
-    @pytest.mark.parametrize("sr", [49, 40, 1, 0])
-    def test_rate_below_50_hz_rejected_by_name(self, sr):
-        with pytest.raises(ValueError, match=f"sample rate {sr} Hz is too low for a 10 ms hop"):
-            stft_config(sr)
+    @pytest.mark.parametrize("sr, message", [
+        pytest.param(49, "sample rate 49 Hz is too low for a 10 ms hop", id="49"),
+        pytest.param(40, "sample rate 40 Hz is too low for a 10 ms hop", id="40"),
+        pytest.param(1, "sample rate 1 Hz is too low for a 10 ms hop", id="1"),
+        # the whole-number check runs first, and 0 Hz is no rate at all
+        pytest.param(0, "sample_rate must be positive and whole, got 0", id="0"),
+    ])
+    def test_rate_below_50_hz_rejected_by_name(self, sr, message):
+        with pytest.raises(ValueError, match=message):
+            StftConfig(sr)
 
 
 class TestStft:
@@ -144,11 +145,11 @@ class TestStft:
 
     def test_8k_signal_gets_the_8k_geometry(self):
         spec = stft(MonoSignal(np.ones(4000), 8000))
-        assert spec.config == stft_config(8000)
+        assert spec.config == StftConfig(8000)
         assert spec.shape == (129, 51)
 
     # the geometries of 16 kHz, 8 kHz and 1.3 kHz (64/33/13, an odd window)
-    @pytest.mark.parametrize("cfg", [stft_config(sr) for sr in (SR, 8000, 1300)])
+    @pytest.mark.parametrize("cfg", [StftConfig(sr) for sr in (SR, 8000, 1300)])
     @pytest.mark.parametrize("shape", [(4, 10080), (2, 3, 4001), (1, 400)])
     def test_batched_core_equals_stft_per_row(self, cfg, shape):
         x = np.random.default_rng(shape[-1]).normal(size=shape)
@@ -317,7 +318,7 @@ class TestMixedRates:
     @pytest.fixture
     def pair(self):
         rng = np.random.default_rng(26)
-        a, b = rand_spec(rng, stft_config(44100), 4), rand_spec(rng, stft_config(48000), 4)
+        a, b = rand_spec(rng, StftConfig(44100), 4), rand_spec(rng, StftConfig(48000), 4)
         assert a.shape == b.shape == (1025, 4)
         return a, b
 

@@ -189,6 +189,23 @@ class TestSampleRate:
             wavio.write_wav(tmp_path / "x.wav", rate, np.zeros(8))
         assert not (tmp_path / "x.wav").exists()
 
+    @pytest.mark.parametrize("rate, data, fmt, message", [
+        (5_000_000_000, np.zeros(4), "float32", "sample rate 5000000000"),
+        (2**31, np.zeros((4, 2)), "pcm16", "byte rate 8589934592"),
+        (2**30, np.zeros(4), "float32", "byte rate 4294967296"),
+    ], ids=["rate", "stereo-pcm16-byte-rate", "mono-float32-byte-rate"])
+    def test_header_values_past_32_bits_are_named(self, tmp_path, rate, data, fmt, message):
+        path = tmp_path / "big.wav"
+        with pytest.raises(ValueError) as info:
+            wavio.write_wav(path, rate, data, fmt=fmt)
+        assert str(info.value) == f"{path}: {message} exceeds the 32-bit field of a WAV header"
+        assert not path.exists()
+
+    def test_largest_byte_rate_that_fits_is_written(self, tmp_path):
+        # mono pcm16 at 2^31 - 1 Hz: a byte rate of 2^32 - 2
+        wavio.write_wav(tmp_path / "x.wav", 2**31 - 1, np.zeros(4), fmt="pcm16")
+        assert wavio.read_wav(tmp_path / "x.wav")[0] == 2**31 - 1
+
 
 class TestRejected:
     def read_fails(self, path, *needles):

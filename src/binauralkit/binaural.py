@@ -7,8 +7,8 @@ feed with the HRIR pair nearest its speaker direction and sums per ear.
 All three stages are linear and time-invariant, so they run as one
 precomputed 4-in/2-out FIR per (array, pack), cached by object identity;
 the FIRs of packs and the matrices of arrays are read-only. The direct
-HRIR decoder is the same FIR call (`fft_convolve`) with the nearest pair
-as a 1-in/2-out filter.
+HRIR decoder is the same FIR call, overlap-save in blocks sized by the
+filter (`fft_convolve`), with the nearest pair as a 1-in/2-out filter.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import wavio
 from .ambisonic import BFormat, MonoSignal, _Signal
@@ -36,6 +37,8 @@ MAX_CONDITION = 1e3
 # harmonic matrix and leave it rank 3.
 _DEFAULT_AZIMUTHS = tuple(-math.pi / 2 + (m - 0.5) * math.pi / 8 for m in range(1, 9))
 _DEFAULT_ELEVATIONS = tuple(s * math.pi / 8 for s in (1, -1, 1, -1, -1, 1, -1, 1))
+
+_CHUNK = 8192  # input samples per pass of `fft_convolve`, in whole blocks (at least one)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,30 +94,24 @@ def decode_wy(b: BFormat) -> BinauralSignal:
     return BinauralSignal(b.w + b.y, b.w - b.y, b.sample_rate)
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
-    """y[e] = sum_c x[c] * firs[e, c] (linear convolution) by real FFT, trimmed
-    to the first n samples: a (C, n) block and (E, C, taps) filters give (E, n)."""
-    n = x.shape[-1]
-    n_fft = _smooth_length(n + firs.shape[-1] - 1)
-    spectrum = np.einsum("ecf,cf->ef", np.fft.rfft(firs, n_fft), np.fft.rfft(x, n_fft))
-    # Written over the spectrum, the result holds its memory until the caller
-    # has copied the rows; freed earlier, it leaves the heap top free past
-    # glibc's trim threshold, and each 10 s render faults ~8 MB back in.
-    out = spectrum.view(np.float64)[:, :n]
-    out[...] = np.fft.irfft(spectrum, n_fft)[:, :n]
+    """y[e] = sum_c x[c] * firs[e, c] (linear convolution) trimmed to the first
+    n samples: a (C, n) block and (E, C, taps) filters give (E, n). Overlap-save
+    at the smallest power of two >= 16 * taps and >= 512, each block after the
+    taps - 1 samples before it (zeros before x), so whole-block prefixes render
+    bitwise alike; `_CHUNK` input samples per pass keep the temporaries flat in n."""
+    n, hist = x.shape[-1], firs.shape[-1] - 1
+    n_fft = max(512, 1 << (16 * firs.shape[-1] - 1).bit_length())
+    step = n_fft - hist  # new samples per block
+    chunk = max(1, _CHUNK // step) * step
+    spectrum, out = np.fft.rfft(firs, n_fft), np.empty((len(firs), n))
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        seg = np.zeros((len(x), hist + -(-m // step) * step))  # x from start - hist, zero-padded
+        seg[:, max(hist - start, 0) : hist + m] = x[:, max(start - hist, 0) : start + m]
+        blocks = np.fft.rfft(sliding_window_view(seg, n_fft, axis=-1)[:, ::step])
+        y = np.fft.irfft(np.einsum("ecf,cbf->ebf", spectrum, blocks), n_fft)
+        out[:, start : start + m] = y[..., hist:].reshape(len(out), -1)[:, :m]
     return out
 
 

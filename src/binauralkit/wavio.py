@@ -1,9 +1,9 @@
 """WAV helpers shared across the toolkit: a little-endian RIFF/WAVE reader
 and writer in numpy and `struct`.
 
-All internal processing is 64-bit float; files default to float32 so
-round trips stay exact at the storage precision. The writer emits the
-same bytes as `scipy.io.wavfile.write` for both of its formats.
+All internal processing is 64-bit float; files default to float32 so round
+trips stay exact at the storage precision. The writer refuses NaN and inf
+samples, and otherwise writes the bytes `scipy.io.wavfile.write` would.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
 
 
 def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") -> None:
-    """Write (n,) or (n, channels) samples as a float32 (default) or pcm16 WAV."""
+    """Write (n,) or (n, channels) finite samples as a float32 (default) or pcm16 WAV."""
     if fmt not in _WRITE_FORMATS:
         raise ValueError(f"unsupported wav sample format: {fmt!r}")
     tag, width = _WRITE_FORMATS[fmt]
@@ -121,9 +121,11 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     if data.ndim not in (1, 2):
         raise ValueError(f"WAV data must be 1-D or 2-D, got shape {data.shape}")
     channels = 1 if data.ndim == 1 else data.shape[1]
-    for name, value in (("sample rate", rate), ("byte rate", rate * channels * width)):
-        if value > 0xFFFFFFFF:
-            raise ValueError(f"{path}: {name} {value} exceeds the 32-bit field of a WAV header")
+    block = channels * width
+    for name, value, bits in (("sample rate", rate, 32), ("byte rate", rate * block, 32),
+                              ("block align", block, 16)):
+        if value >> bits:
+            raise ValueError(f"{path}: {name} {value} exceeds the {bits}-bit field of a WAV header")
     nbytes = data.size * width
     # the RIFF size counts "WAVE", the fmt, fact and data chunk headers and the samples
     riff_size = (36 if tag == PCM else 50) + nbytes
@@ -131,11 +133,12 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
         raise ValueError(f"{path}: {nbytes} bytes of samples exceed the 4 GiB size "
                          "limit of a RIFF/WAVE file")
     data = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: frame {np.argmin(np.isfinite(data)) // channels} is not finite")
     if tag == PCM:
         data = np.round(np.clip(data, -1.0, 1.0) * 32767.0)
     samples = data.astype(_FORMATS[tag, width][0])
-    fmt_body = struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
-                           channels * width, 8 * width)
+    fmt_body = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * width)
     fact = b""
     if tag != PCM:  # a zero cbSize, and a fact chunk with the frame count
         fmt_body += b"\x00\x00"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import binauralkit
 from binauralkit import wavio
@@ -441,7 +442,7 @@ class TestDataset:
     ])
     def test_bad_pool_clip_fails_before_work(self, tmp_path, capsys, rate, data, needle):
         pool = self.make_pool(tmp_path)
-        wavio.write_wav(tmp_path / "odd.wav", rate, data)
+        wavfile.write(tmp_path / "odd.wav", rate, data.astype(np.float32))  # wavio refuses the NaN
         self.write_config(tmp_path, pool + ["odd.wav"])
         self.assert_fails_before_work(tmp_path, capsys, "pool clip 'odd.wav' in", needle)
 

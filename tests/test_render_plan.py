@@ -9,20 +9,25 @@ largest value the untrimmed per-ear sum could reach before any
 cancellation, max(sum_m |feed_m| * |h_ear,m|): FFT rounding spreads over
 the whole transform, so it follows that scale and not the size of each
 output sample.
+
+`fft_convolve` runs overlap-save in fixed blocks; `whole_clip_convolve`,
+the whole-clip transform it replaced, stays here as a second oracle.
 """
 
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from binauralkit.ambisonic import MonoSignal, encode, mix
+from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.binaural import (
+    _CHUNK,
     SpeakerArray,
     _ear_filters,
-    _smooth_length,
+    _ear_pairs,
     default_speaker_array,
     fft_convolve,
     project_to_speakers,
@@ -43,6 +48,41 @@ seeds = st.integers(0, 2**32 - 1)
 TETRAHEDRON = [
     (math.pi / 4, 0.6), (3 * math.pi / 4, -0.6), (-3 * math.pi / 4, 0.6), (-math.pi / 4, -0.6),
 ]
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def whole_clip_convolve(x, firs):
+    """Oracle: `fft_convolve` as one transform of the whole clip and the filters
+    at the next 5-smooth length past the full convolution."""
+    n = x.shape[-1]
+    n_fft = _smooth_length(n + firs.shape[-1] - 1)
+    spectrum = np.einsum("ecf,cf->ef", np.fft.rfft(firs, n_fft), np.fft.rfft(x, n_fft))
+    return np.fft.irfft(spectrum, n_fft)[:, :n]
+
+
+def block_step(taps):
+    """New samples per overlap-save block: the FFT length less taps - 1."""
+    return max(512, 1 << (16 * taps - 1).bit_length()) - taps + 1
+
+
+def assert_close_to_scale(got, want, x, firs):
+    """|got - want| <= REL_TOL * max_t sum_c (|x[c]| * |firs[e, c]|)[t], per row e."""
+    for e in range(len(firs)):
+        scale = sum(np.convolve(np.abs(x[c]), np.abs(firs[e, c])) for c in range(len(x))).max()
+        err = np.max(np.abs(got[e] - want[e]), initial=0.0)
+        assert err <= REL_TOL * scale, (e, err, scale)
 
 
 def per_speaker_render(b, arr, pack):
@@ -67,6 +107,8 @@ def assert_matches_oracle(b, arr, pack):
         float(np.max(np.abs(got.left - want[0]))), float(np.max(np.abs(got.right - want[1])))
     )
     assert err <= REL_TOL * scale, f"error {err:.3e} vs scale {scale:.3e}"
+    firs = _ear_filters(arr, pack)
+    assert_close_to_scale(got.data, whole_clip_convolve(b.data, firs), b.data, firs)
 
 
 def mixed_scene(sources, n, seed, sample_rate):
@@ -147,8 +189,9 @@ class TestEquivalence:
         )
 
     def test_filter_tail_does_not_wrap(self):
-        # n + taps - 2 = 128 is 5-smooth, so an FFT one sample too short
-        # would fold the last full-convolution sample onto the first
+        # a ramp filter: an FFT one sample too short would fold the last
+        # full-convolution sample onto the first (for the whole-clip oracle,
+        # n + taps - 2 = 128 is 5-smooth)
         taps = np.arange(1.0, 29.0)
         pack = HrirPack((HrirEntry(Direction(0, 0), taps, taps[::-1].copy()),), 16000)
         b = mixed_scene([(0.4, 0.2)], 128 - len(taps) + 2, 3, 16000)
@@ -170,6 +213,8 @@ class TestDirectRender:
             want = np.convolve(source.samples, fir)[:n]
             scale = np.convolve(np.abs(source.samples), np.abs(fir)).max()
             assert np.max(np.abs(out - want)) <= REL_TOL * scale
+        firs = _ear_pairs([entry])
+        assert_close_to_scale(got.data, whole_clip_convolve(source.data, firs), source.data, firs)
 
 
 class TestEarFilterCache:
@@ -223,6 +268,62 @@ class TestFftConvolve:
                     scale = sum(np.convolve(np.abs(x[c]), np.abs(h[e, c])) for c in range(2)).max()
                     err = np.max(np.abs(got[e] - want))
                     assert err <= REL_TOL * scale, (n, k, e, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        taps=st.sampled_from([1, 28, 200, 512]),
+        channels=st.sampled_from([1, 4]),
+        edge=st.sampled_from(["1", "L-1", "L", "L+1", "kL", "kL+1", "chunks"]),
+        k=st.integers(2, 5),
+        tail=st.integers(0, 1500),
+        short=st.integers(1, 512),
+        seed=seeds,
+    )
+    @example(taps=28, channels=4, edge="chunks", k=3, tail=38, short=9, seed=0)
+    @example(taps=512, channels=1, edge="kL+1", k=2, tail=0, short=200, seed=1)
+    def test_matches_whole_clip_oracle_and_np_convolve(
+        self, taps, channels, edge, k, tail, short, seed,
+    ):
+        # n at and around block (L samples) and chunk edges, or several chunks
+        # and an odd tail; ear 1's filters have only `short` taps
+        step = block_step(taps)
+        chunk = max(1, _CHUNK // step) * step
+        n = {"1": 1, "L-1": step - 1, "L": step, "L+1": step + 1, "kL": k * step,
+             "kL+1": k * step + 1, "chunks": k * chunk + 2 * tail + 1}[edge]
+        short = min(short, taps)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(channels, n))
+        firs = rng.normal(size=(2, channels, taps))
+        firs[1, :, short:] = 0.0
+        got = fft_convolve(x, firs)
+        assert got.shape == (2, n)
+        assert_close_to_scale(got, whole_clip_convolve(x, firs), x, firs)
+        want = [sum(np.convolve(x[c], firs[e, c, : (taps, short)[e]])[:n] for c in range(channels))
+                for e in range(2)]
+        assert_close_to_scale(got, want, x, firs)
+
+    def test_whole_block_prefix_renders_bitwise_equal(self):
+        arr, pack = default_speaker_array(), synth_pack()
+        step = block_step(_ear_filters(arr, pack).shape[-1])
+        per_chunk = _CHUNK // step
+        b = mixed_scene([(0.6, 0.1), (-1.0, -0.2)], 3 * _CHUNK + 301, 8, pack.sample_rate)
+        full = render_ambisonic_hrir(b, arr, pack).data
+        for k in (1, 2, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 5):
+            prefix = BFormat(*b.data[:, : k * step], sample_rate=b.sample_rate)
+            got = render_ambisonic_hrir(prefix, arr, pack).data
+            np.testing.assert_array_equal(got, full[:, : k * step])
+
+    def test_temporaries_do_not_grow_with_length(self):
+        # a (4, 60 s) block at 16 kHz: only the (2, n) result may scale with n
+        x = np.random.default_rng(6).normal(size=(4, 60 * 16000))
+        firs = _ear_filters(default_speaker_array(), synth_pack())
+        tracemalloc.start()
+        try:
+            out = fft_convolve(x, firs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= peak <= out.nbytes + 4 * 2**20, (peak, out.nbytes)
 
     def test_smooth_length_is_the_next_5_smooth_number(self):
         def is_smooth(m):

@@ -201,10 +201,41 @@ class TestSampleRate:
         assert str(info.value) == f"{path}: {message} exceeds the 32-bit field of a WAV header"
         assert not path.exists()
 
+    @pytest.mark.parametrize("data, fmt, message", [
+        (np.zeros((1, 40000)), "pcm16", "block align 80000"),
+        (np.zeros((1, 16384)), "float32", "block align 65536"),
+    ], ids=["pcm16", "float32"])
+    def test_header_values_past_16_bits_are_named(self, tmp_path, data, fmt, message):
+        path = tmp_path / "wide.wav"
+        with pytest.raises(ValueError) as info:
+            wavio.write_wav(path, SR, data, fmt=fmt)
+        assert str(info.value) == f"{path}: {message} exceeds the 16-bit field of a WAV header"
+        assert not path.exists()
+
+    def test_largest_block_align_that_fits_is_written(self, tmp_path):
+        # 32767 pcm16 channels: a block align of 2^16 - 2
+        wavio.write_wav(tmp_path / "x.wav", SR, np.zeros((2, 32767)), fmt="pcm16")
+        assert wavio.read_wav(tmp_path / "x.wav")[1].shape == (2, 32767)
+
     def test_largest_byte_rate_that_fits_is_written(self, tmp_path):
         # mono pcm16 at 2^31 - 1 Hz: a byte rate of 2^32 - 2
         wavio.write_wav(tmp_path / "x.wav", 2**31 - 1, np.zeros(4), fmt="pcm16")
         assert wavio.read_wav(tmp_path / "x.wav")[0] == 2**31 - 1
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("fmt", ["float32", "pcm16"])
+    @pytest.mark.parametrize("data, frame", [
+        ([0.1, np.nan, np.inf], 1),
+        ([[0.0, 0.0], [0.5, 0.5], [0.0, -np.inf]], 2),
+        (np.array([[0.0, 0.0, 0.0, np.nan], [0.0, 0.0, np.inf, 0.0]]).T, 2),  # frames in columns
+    ], ids=["mono", "stereo", "transposed"])
+    def test_writer_names_the_first_bad_frame_before_it_writes(self, tmp_path, fmt, data, frame):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError) as info:
+            wavio.write_wav(path, SR, data, fmt=fmt)
+        assert str(info.value) == f"{path}: frame {frame} is not finite"
+        assert not path.exists()
 
 
 class TestRejected:

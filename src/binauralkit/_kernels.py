@@ -1,10 +1,12 @@
 """Numpy kernels that the benchmark's tracer times as layers of their own.
 
 ``overlap_add`` serves ``spectral.istft`` and ``phase_mean_abs`` the
-phase metric; ``sum_contributions`` has no caller in the package. All
-three stay at this path, rather than beside their callers, only because
-``perfbench/tracer.py`` looks them up by name at ``binauralkit._kernels``
-(its ``TRACED`` table).
+standalone phase metric; ``sum_contributions`` has no caller in the
+package. All three stay at this path, rather than beside their callers,
+only because ``perfbench/tracer.py`` looks them up by name at
+``binauralkit._kernels`` (its ``TRACED`` table). ``abs_phase_diff`` is the
+per-bin phase formula that ``phase_mean_abs`` and ``metrics.evaluate``
+share.
 """
 
 import numpy as np
@@ -36,9 +38,13 @@ def sum_contributions(contribs: np.ndarray) -> np.ndarray:
     return np.sum(np.asarray(contribs, dtype=np.float64), axis=0)
 
 
+def abs_phase_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|wrapped phase(a) - phase(b)| per bin, in [0, pi]; zero bins count as phase 0."""
+    return np.abs(np.mod(np.angle(a) - np.angle(b) + np.pi, 2.0 * np.pi) - np.pi)
+
+
 def phase_mean_abs(a: np.ndarray, b: np.ndarray) -> float:
     """Mean |wrapped phase(a) - phase(b)| over all bins; zero bins count as phase 0."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    d = np.mod(np.angle(a) - np.angle(b) + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.mean(np.abs(d)))
+    return float(np.mean(abs_phase_diff(a, b)))

@@ -7,6 +7,15 @@ follows the pair's rate (`spectral.StftConfig(rate)`); only 16 kHz figures
 match the paper's protocol. The phase distance is the mean absolute
 principal-value phase difference between the l-r spectrograms, so its
 range is [0, pi] and the phase of an exactly zero bin counts as 0.
+
+`evaluate` transforms each STFT frame once. A window frame that reads no
+reflect padding (an inner frame) is the raw samples at its centre, so
+windows whose starts agree modulo the STFT hop share it: its FFT, and its
+partial sums over the bins, serve every window that holds it. Each window
+transforms only its few edge frames itself, and keeps its own Hilbert
+envelopes and SNR. Only the order of the sums differs from the standalone
+distances, which stay the per-window definition: each agrees with its
+`evaluate` field to within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -16,14 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import phase_mean_abs
+from ._kernels import abs_phase_diff, phase_mean_abs
 from .ambisonic import seconds_to_samples
 from .binaural import BinauralSignal
-from .spectral import Spectrogram, StftConfig, _check_same_config, _stft_bins
+from .spectral import (
+    Spectrogram,
+    StftConfig,
+    _check_same_config,
+    _padded_window,
+    _stft_bins,
+)
 
 DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
 SNR_CAP_DB = 120.0
+_CHUNK_FRAMES = 64  # inner frames transformed per batch; bounds the temporaries
 
 
 @dataclass
@@ -64,9 +80,10 @@ def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
         raise ValueError(f"sample rates differ: {gt.sample_rate} vs {pred.sample_rate}")
 
 
-def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float):
-    """Check the pair and the window parameters, then return an iterator over
-    the windows, each a (4, win) block of gt l, gt r, pred l and pred r."""
+def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None,
+                   hop_s: float) -> tuple[int, range]:
+    """Check the pair and the window parameters, then return the window
+    length in samples and the window starts."""
     _check_pair(gt, pred)
     n = gt.n_samples
     if window_s is None:
@@ -76,8 +93,19 @@ def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, h
         hop = seconds_to_samples(hop_s, gt.sample_rate, "hop_s")
         if n < win:
             raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
-    starts = range(0, n - win + 1, hop)
-    return (np.concatenate((gt.data[:, s : s + win], pred.data[:, s : s + win])) for s in starts)
+    return win, range(0, n - win + 1, hop)
+
+
+def _block(gt: BinauralSignal, pred: BinauralSignal, start: int, win: int) -> np.ndarray:
+    """The (4, win) block of gt l, gt r, pred l and pred r at `start`."""
+    return np.concatenate((gt.data[:, start : start + win], pred.data[:, start : start + win]))
+
+
+def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float):
+    """Check the pair and the window parameters, then return an iterator over
+    the windows' `_block`s."""
+    win, starts = _window_starts(gt, pred, window_s, hop_s)
+    return (_block(gt, pred, s, win) for s in starts)
 
 
 def _spectra(rows: np.ndarray, sample_rate: int) -> np.ndarray:
@@ -186,6 +214,73 @@ def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     return phase_mean_abs(gt_diff, pred_diff_spec.bins)
 
 
+def _inner_frames(cfg: StftConfig, win: int) -> range:
+    """The frames of a `win`-sample window that read no reflect padding:
+    frame t reads samples t*hop - n_fft//2 onwards, n_fft of them."""
+    pad = cfg.n_fft // 2
+    first = -(-pad // cfg.hop)
+    end = (win - cfg.n_fft + pad) // cfg.hop + 1
+    return range(first, max(first, end))
+
+
+def _frame_sums(bins: np.ndarray) -> np.ndarray:
+    """Reduce a (6, frames, n_bins) block of gt l, gt r, pred l, pred r,
+    gt l-r and pred l-r bins to five sums per frame, shaped (frames, 5):
+    |G - P|^2 of l and of r, (|G| - |P|)^2 of l and of r, and the
+    |wrapped phase difference| of the l-r bins."""
+    mag = np.abs(bins[:4])
+    return np.column_stack((
+        *np.sum(np.abs(bins[:2] - bins[2:4]) ** 2, axis=-1),
+        *np.sum((mag[:2] - mag[2:]) ** 2, axis=-1),
+        np.sum(abs_phase_diff(bins[4], bins[5]), axis=-1),
+    ))
+
+
+def _shared_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
+                 starts: range, inner: range) -> tuple[np.ndarray, np.ndarray]:
+    """The `_frame_sums` of each window's inner frames, added up per window,
+    and whether all those frames' bins are finite; shaped (windows, 5) and
+    (windows,).
+
+    Windows whose starts agree modulo the STFT hop read their inner frames
+    off one frame grid, so each grid frame is transformed once for all of
+    them, `_CHUNK_FRAMES` frames at a time, straight from the signals. Its
+    l-r frames are the difference of its l and r frames, which are the
+    very values a window's own l-r transform reads.
+    """
+    starts = np.asarray(starts)
+    sums = np.zeros((len(starts), 5))
+    finite = np.ones(len(starts), dtype=bool)
+    if not inner:
+        return sums, finite
+    pad, window = cfg.n_fft // 2, _padded_window(cfg)
+    views = [np.lib.stride_tricks.sliding_window_view(s.data, cfg.n_fft, axis=-1)
+             for s in (gt, pred)]
+    offsets = starts % cfg.hop
+    for offset in np.unique(offsets):
+        group = np.flatnonzero(offsets == offset)
+        # frame t of the window at s is grid frame k = s // hop + t, which
+        # reads n_fft samples from offset - pad + k * hop
+        first = starts[group] // cfg.hop + inner.start
+        grid = np.unique(first[:, None] + np.arange(len(inner)))
+        grid_sums = np.empty((len(grid), 5))
+        grid_finite = np.empty(len(grid), dtype=bool)
+        for a in range(0, len(grid), _CHUNK_FRAMES):
+            at = offset - pad + grid[a : a + _CHUNK_FRAMES] * cfg.hop
+            raw = np.empty((6, len(at), cfg.n_fft))
+            raw[:2] = views[0][:, at]
+            raw[2:4] = views[1][:, at]
+            np.subtract(raw[0:4:2], raw[1:4:2], out=raw[4:])
+            raw *= window
+            bins = np.fft.rfft(raw, axis=-1)
+            grid_finite[a : a + len(at)] = np.isfinite(bins).all(axis=(0, 2))
+            grid_sums[a : a + len(at)] = _frame_sums(bins)
+        for w, i in zip(group, np.searchsorted(grid, first)):
+            sums[w] = grid_sums[i : i + len(inner)].sum(axis=0)
+            finite[w] = grid_finite[i : i + len(inner)].all()
+    return sums, finite
+
+
 def evaluate(
     gt: BinauralSignal,
     pred: BinauralSignal,
@@ -196,18 +291,31 @@ def evaluate(
 
     The phase distance compares each window's ground-truth l-r spectrogram
     with the prediction's own l-r spectrogram. Windows whose ground truth
-    is completely silent are excluded from the SNR average only.
+    is completely silent are excluded from the SNR average only. Inner
+    frames come from `_shared_sums`; each window transforms its edge
+    frames, and checks them and its envelopes, in window order.
     """
+    win, starts = _window_starts(gt, pred, window_s, hop_s)
     sr = gt.sample_rate
+    cfg = StftConfig(sr)
+    frames = cfg.frame_count(win)
+    inner = _inner_frames(cfg, win)
+    edge = np.r_[0 : inner.start, inner.stop : frames]
+    shared, shared_finite = _shared_sums(gt, pred, cfg, starts, inner)
     terms = []
-    for block in _windows(gt, pred, window_s, hop_s):
-        spec = _spectra(block, sr)
+    for start, inner_sums, inner_finite in zip(starts, shared, shared_finite):
+        block = _block(gt, pred, start, win)
         # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
         # differently, and the phase of near-zero bins is discontinuous
-        diff = _spectra(block[0::2] - block[1::2], sr)
+        rows = np.concatenate((block, block[0::2] - block[1::2]))
+        edge_bins = np.swapaxes(_stft_bins(rows, sr, edge), -1, -2)
+        if not (inner_finite and np.all(np.isfinite(edge_bins))):
+            raise ValueError("spectrogram contains non-finite bins")
+        sums = inner_sums + _frame_sums(edge_bins).sum(axis=0)
         terms.append((
-            _stft_term(spec), _env_term(block), _mag_term(spec),
-            _snr_db(*block), phase_mean_abs(diff[0], diff[1]),
+            np.sqrt(sums[0]) + np.sqrt(sums[1]), _env_term(block),
+            np.sqrt(sums[2]) + np.sqrt(sums[3]), _snr_db(*block),
+            sums[4] / (cfg.n_bins * frames),
         ))
     stft_vals, env_vals, mag_vals, snr_vals, phase_vals = zip(*terms)
     snr_vals = [v for v in snr_vals if v is not None]  # silent ground truth

@@ -50,7 +50,10 @@ class StftConfig:
         return self.n_fft // 2 + 1
 
     def frame_count(self, n_samples: int) -> int:
-        return 1 + n_samples // self.hop
+        """Frames of n_fft samples, one per hop, over the n_samples + 2 * (n_fft // 2)
+        padded samples: 1 + n_samples // hop for an even n_fft, one frame per
+        sample for the unpadded 1-point FFT below 60 Hz."""
+        return 1 + (n_samples + 2 * (self.n_fft // 2) - self.n_fft) // self.hop
 
     def to_dict(self) -> dict:
         return {"n_fft": self.n_fft, "win": self.win_length, "hop": self.hop}
@@ -124,8 +127,9 @@ def stft(signal: MonoSignal) -> Spectrogram:
     return Spectrogram(bins, StftConfig(signal.sample_rate), n_samples=signal.n_samples)
 
 
-def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
-    """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames)."""
+def _stft_bins(x: np.ndarray, sample_rate: int, frames=slice(None)) -> np.ndarray:
+    """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames);
+    `frames` (a slice or an index array) picks the frames to transform."""
     cfg = StftConfig(sample_rate)
     n = x.shape[-1]
     pad = cfg.n_fft // 2
@@ -133,9 +137,9 @@ def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
         raise ValueError(f"signal of {n} samples is too short for the "
                          f"{cfg.win_length}-sample STFT window at {sample_rate} Hz")
     padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
-    frames = frames[..., :: cfg.hop, :][..., : cfg.frame_count(n), :]
-    return np.swapaxes(np.fft.rfft(frames * _padded_window(cfg), axis=-1), -1, -2)
+    framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
+    framed = framed[..., :: cfg.hop, :][..., : cfg.frame_count(n), :][..., frames, :]
+    return np.swapaxes(np.fft.rfft(framed * _padded_window(cfg), axis=-1), -1, -2)
 
 
 def istft(spec: Spectrogram) -> MonoSignal:

@@ -3,7 +3,9 @@ and writer in numpy and `struct`.
 
 All internal processing is 64-bit float; files default to float32 so round
 trips stay exact at the storage precision. The writer refuses NaN and inf
-samples, and otherwise writes the bytes `scipy.io.wavfile.write` would.
+samples, and float32 samples past the float32 range, and otherwise writes
+the bytes `scipy.io.wavfile.write` would. The reader refuses float files
+that hold NaN or inf samples.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
     """Read a WAV file as (sample_rate, float64 data).
 
     Mono data comes back as shape (n,), multi-channel as (n, channels).
-    Integer PCM (8, 16, 24 or 32-bit) is rescaled to [-1, 1); float32 and
-    float64 data pass through. Given `channels`, a file with another
-    channel count raises a ValueError that names the file, and so does a
-    truncated, malformed or otherwise unsupported file.
+    Integer PCM (8, 16, 24 or 32-bit) is rescaled to [-1, 1); finite
+    float32 and float64 data pass through. Given `channels`, a file with
+    another channel count raises a ValueError that names the file, and so
+    does a truncated, malformed or otherwise unsupported file, or a float
+    file with a NaN or inf sample (naming its first such frame).
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -108,6 +111,9 @@ def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
     data = raw.view(dtype).astype(np.float64)
     data -= offset  # in place: a fresh array per pass costs more than the pass
     data *= step  # exact: step is a power of two
+    if tag == IEEE_FLOAT and not np.isfinite(data).all():
+        frame = np.argmin(np.isfinite(data)) // got
+        raise ValueError(f"{path}: frame {frame} contains non-finite samples")
     return int(sample_rate), data.reshape((-1, got) if got > 1 else -1)
 
 
@@ -133,8 +139,15 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
         raise ValueError(f"{path}: {nbytes} bytes of samples exceed the 4 GiB size "
                          "limit of a RIFF/WAVE file")
     data = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(data).all():
-        raise ValueError(f"{path}: frame {np.argmin(np.isfinite(data)) // channels} is not finite")
+    # one pass for NaN, inf and, in float32, finite samples it would store as inf
+    largest = np.finfo(np.float32 if tag == IEEE_FLOAT else np.float64).max
+    fits = np.abs(data) <= largest
+    if not fits.all():
+        first = np.argmin(fits)
+        if not np.isfinite(data.flat[first]):
+            raise ValueError(f"{path}: frame {first // channels} is not finite")
+        raise ValueError(f"{path}: frame {first // channels} exceeds the float32 range "
+                         f"(+-{largest:.7g})")
     if tag == PCM:
         data = np.round(np.clip(data, -1.0, 1.0) * 32767.0)
     samples = data.astype(_FORMATS[tag, width][0])

@@ -2,12 +2,17 @@
 
 The oracle below is the earlier `evaluate`, `stft_distance`, `env_distance`
 and `mag_distance`, each with its own window loop and one `stft` or
-`hilbert` call per channel. The engine transforms each window's four
-channel rows, and its two l-r rows, as one batch each, so the results must
-be bit-for-bit equal.
+`hilbert` call per channel. The standalone distances transform each
+window's channel rows as one batch, so they must equal the loops bit for
+bit. `evaluate` transforms each frame that reads no reflect padding once
+for every window that holds it, and adds up per-frame sums: every bin is
+the same, but the sums run in another order, so its fields must equal the
+loops' to within 1e-12 relative, and its windows, config and error
+messages exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +32,11 @@ from binauralkit.metrics import (
     mag_distance,
     stft_distance,
 )
-from binauralkit.spectral import DEFAULT_STFT, StftConfig, stft
+from binauralkit.spectral import DEFAULT_STFT, StftConfig, _stft_bins, stft
 
 SR = 16000
+REL = 1e-12  # evaluate against the loops: the same bins, summed in another order
+METRIC_FIELDS = ("stft_dist", "env", "mag", "snr_db", "d_phase")
 
 
 # --- oracle: the loops as they were before the engine ---------------------
@@ -142,21 +149,40 @@ def outcome(fn, *args, **kwargs):
         return ("ValueError", str(exc))
 
 
+def assert_same_report(got, want):
+    """Equal error messages, or reports whose metrics agree to REL relative
+    and whose windows and config are equal."""
+    if not isinstance(want, MetricsReport):
+        assert got == want
+        return
+    assert isinstance(got, MetricsReport), got
+    for name in METRIC_FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=REL, abs=0), name
+    assert got.to_dict()["config"] == want.to_dict()["config"]
+    assert (got.windows, got.stft_config) == (want.windows, want.stft_config)
+
+
 @st.composite
 def pairs(draw):
-    """A (gt, pred, cfg, window_s, hop_s) case at 16 or 8 kHz, cfg being the
-    STFT geometry of the rate: lengths at least one window, window hops off
-    the STFT's hop grid, channels that may be equal (zero l-r spectra) and a
-    ground truth whose first window may be silent."""
-    sr = draw(st.sampled_from([SR, 8000]))
+    """A (gt, pred, cfg, window_s, hop_s) case at 8, 16, 22.05 or 44.1 kHz,
+    cfg being the STFT geometry of the rate: lengths at least one window,
+    window hops on and off the STFT's hop grid, windows shorter than n_fft
+    (no frame of theirs is free of the reflect padding), channels that may be
+    equal (zero l-r spectra) and a ground truth whose first window may be
+    silent."""
+    sr = draw(st.sampled_from([SR, 8000, 22050, 44100]))
     cfg = StftConfig(sr)
     shortest = max(cfg.win_length, cfg.n_fft // 2 + 1)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["whole signal", "windows", "windows shorter than n_fft"]))
+    if kind == "whole signal":
         window_s, hop_s = None, 0.1
         n = draw(st.integers(shortest, 12000))
     else:
-        win = draw(st.integers(shortest, 10080))
-        hop = draw(st.integers(1, 4000).filter(lambda h: h % cfg.hop != 0))
+        longest = 10080 if kind == "windows" else cfg.n_fft - 1
+        win = draw(st.integers(shortest, longest))
+        off_grid = st.integers(1, 4000).filter(lambda h: h % cfg.hop != 0)
+        on_grid = st.integers(1, 4000 // cfg.hop).map(lambda k: k * cfg.hop)
+        hop = draw(off_grid | on_grid)
         window_s, hop_s = win / sr, hop / sr
         n = win + draw(st.integers(0, 4 * hop))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -186,11 +212,11 @@ def pairs(draw):
     )
 
 
-def noise_case(seed, n, window_s, hop_s):
+def noise_case(seed, n, window_s, hop_s, sr=SR):
     rng = np.random.default_rng(seed)
-    gt = BinauralSignal(rng.normal(size=n), rng.normal(size=n), SR)
-    pred = BinauralSignal(rng.normal(size=n), rng.normal(size=n), SR)
-    return gt, pred, DEFAULT_STFT, window_s, hop_s
+    gt = BinauralSignal(rng.normal(size=n), rng.normal(size=n), sr)
+    pred = BinauralSignal(rng.normal(size=n), rng.normal(size=n), sr)
+    return gt, pred, StftConfig(sr), window_s, hop_s
 
 
 class TestEquivalence:
@@ -200,6 +226,12 @@ class TestEquivalence:
     @example(noise_case(2, 2 * SR, 0.63, 0.0371))
     @example(noise_case(3, 2 * SR, 0.63, 0.25))
     @example(noise_case(4, SR, None, 0.1))
+    # a 0.1 s window hop is 2205 samples, off the 221-sample STFT hop grid
+    @example(noise_case(9, 22050, 0.63, 0.1, sr=22050))
+    @example(noise_case(10, 44100, 0.63, 0.1, sr=44100))
+    # 0.03 s is 480 samples, shorter than the 512-sample frame: no shared frame
+    @example(noise_case(11, SR, 0.03, 0.01))
+    @example(noise_case(12, 150, 0.63, 0.1, sr=50))  # a 1-point FFT, every frame shared
     def test_bitwise_equal_to_the_loops(self, case):
         gt, pred, cfg, window_s, hop_s = case
         windows = dict(window_s=window_s, hop_s=hop_s)
@@ -214,10 +246,11 @@ class TestEquivalence:
             oracle_env_distance(gt, pred, **windows),
             oracle_mag_distance(gt, pred, cfg, **windows),
         )
-        assert report == outcome(oracle_evaluate, gt, pred, cfg=cfg, **windows)
+        assert_same_report(report, outcome(oracle_evaluate, gt, pred, cfg=cfg, **windows))
         if isinstance(report, MetricsReport):
             # the standalone functions are the report's own terms
-            assert standalone == (report.stft_dist, report.env, report.mag)
+            assert standalone == pytest.approx(
+                (report.stft_dist, report.env, report.mag), rel=REL, abs=0)
 
 
 # --- behaviour the engine keeps or adds ----------------------------------
@@ -257,9 +290,27 @@ class TestChecks:
         pred = BinauralSignal(rng.normal(size=sr), rng.normal(size=sr), sr)
         assert stft_distance(gt, pred) == oracle_stft_distance(gt, pred, cfg)
         assert mag_distance(gt, pred) == oracle_mag_distance(gt, pred, cfg)
-        report = evaluate(gt, pred)
-        assert report == oracle_evaluate(gt, pred, cfg=cfg)
+        assert_same_report(evaluate(gt, pred), oracle_evaluate(gt, pred, cfg=cfg))
         assert (cfg.n_fft, cfg.win_length, cfg.hop) == (256, 200, 80)
+
+    @pytest.mark.parametrize("burst, seen_by", [
+        (slice(800, 864), range(2, 62)),  # inside the first window's shared frames 4-6
+        (slice(0, 64), range(0, 2)),  # only the first window's leading edge frames
+    ], ids=["shared frame", "edge frame"])
+    def test_a_non_finite_bin_in_one_frame_is_rejected(self, burst, seen_by):
+        # finite samples whose spectra overflow in a few frames of the first
+        # window; every later window starts past the burst, at 1600 or beyond
+        rng = np.random.default_rng(13)
+        gt = rng.normal(size=(2, 2 * SR))
+        gt[0, burst] = 1e308
+        gt[0, burst][1::2] = -1e308
+        pair = BinauralSignal(*gt, SR), BinauralSignal(*rng.normal(size=(2, 2 * SR)), SR)
+        with np.errstate(all="ignore"):
+            first = _stft_bins(gt[:, : int(0.63 * SR)], SR)
+            bad = np.flatnonzero(~np.isfinite(first).all(axis=(0, 1)))
+            assert len(bad) and set(bad) <= set(seen_by)
+            assert (outcome(evaluate, *pair) == outcome(oracle_evaluate, *pair)
+                    == ("ValueError", "spectrogram contains non-finite bins"))
 
     @pytest.mark.parametrize(
         "window_s, hop_s, name, value",
@@ -284,3 +335,21 @@ class TestChecks:
     def test_whole_signal_ignores_hop(self):
         gt, pred, *_ = noise_case(8, 4000, None, 0.1)
         assert evaluate(gt, pred, window_s=None, hop_s=-1.0).windows == 1
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_pair(self):
+        # the shared frames go through in fixed-size chunks: a 60 s pair
+        # needs no more working memory than a 10 s one
+        rng = np.random.default_rng(14)
+        peaks = {}
+        for seconds in (1, 10, 60):  # the 1 s pair fills the caches a first call fills
+            gt, pred = (BinauralSignal(*rng.normal(size=(2, seconds * SR)), SR) for _ in range(2))
+            tracemalloc.start()
+            try:
+                evaluate(gt, pred)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[60] - peaks[10] < 2**20, peaks
+        assert peaks[60] < 16 * 2**20, peaks

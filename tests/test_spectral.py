@@ -148,6 +148,14 @@ class TestStft:
         assert spec.config == StftConfig(8000)
         assert spec.shape == (129, 51)
 
+    @pytest.mark.parametrize("sr", [50, 59, 60, 100, SR])
+    @pytest.mark.parametrize("n", [150, 151, 400])
+    def test_frame_count_is_the_transformed_count(self, sr, n):
+        # below 60 Hz the FFT is 1 point long and the padding is empty
+        cfg = StftConfig(sr)
+        if n >= cfg.win_length:
+            assert stft(MonoSignal(np.ones(n), sr)).shape[1] == cfg.frame_count(n)
+
     # the geometries of 16 kHz, 8 kHz and 1.3 kHz (64/33/13, an odd window)
     @pytest.mark.parametrize("cfg", [StftConfig(sr) for sr in (SR, 8000, 1300)])
     @pytest.mark.parametrize("shape", [(4, 10080), (2, 3, 4001), (1, 400)])

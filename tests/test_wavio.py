@@ -237,6 +237,56 @@ class TestNonFiniteSamples:
         assert str(info.value) == f"{path}: frame {frame} is not finite"
         assert not path.exists()
 
+    @pytest.mark.parametrize("data, frame", [
+        ([0.1, 1e300, 0.2], 1),
+        ([[0.0, 0.0], [0.5, 0.5], [0.0, -3.5e38]], 2),
+    ], ids=["mono", "stereo"])
+    def test_writer_refuses_float32_overflow_before_it_writes(self, tmp_path, data, frame):
+        # finite float64 samples that float32 would store as inf
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError) as info:
+            wavio.write_wav(path, SR, data)
+        assert str(info.value).startswith(f"{path}: frame {frame} exceeds the float32 range")
+        assert not path.exists()
+
+    def test_largest_float32_is_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        wavio.write_wav(tmp_path / "x.wav", SR, [0.1, -top, top])
+        assert wavio.read_wav(tmp_path / "x.wav")[1][1:].tolist() == [-top, top]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("data, frame", [
+        ([0.1, np.nan, 0.2], 1),
+        ([[0.0, 0.0], [0.5, 0.5], [0.0, -np.inf]], 2),
+    ], ids=["mono", "stereo"])
+    def test_reader_names_the_first_bad_frame(self, tmp_path, dtype, data, frame):
+        path = tmp_path / "x.wav"
+        wavfile.write(path, SR, np.array(data, dtype=dtype))  # wavio refuses to write it
+        with pytest.raises(ValueError) as info:
+            wavio.read_wav(path)
+        assert str(info.value) == f"{path}: frame {frame} contains non-finite samples"
+
+    def test_render_of_a_non_finite_input_fails_by_name(self, tmp_path, capsys):
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, SR, np.array([0.1, np.nan, 0.2] * 1000, dtype=np.float32))
+        code = main(["render", "--in", str(path), "--out", str(tmp_path / "out.wav"),
+                     "--azimuth-deg", "30"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: frame 1 contains non-finite samples\n"
+        assert not (tmp_path / "out.wav").exists()
+
+    @pytest.mark.parametrize("bad", ["--gt", "--pred"])
+    def test_eval_of_a_non_finite_input_fails_by_name(self, tmp_path, capsys, bad):
+        good, nan = tmp_path / "good.wav", tmp_path / "nan.wav"
+        data = np.random.default_rng(3).normal(size=(SR, 2)) * 0.1
+        wavio.write_wav(good, SR, data)
+        data[7, 1] = np.nan
+        wavfile.write(nan, SR, data.astype(np.float32))
+        files = {"--gt": good, "--pred": good, bad: nan}
+        code = main(["eval", "--gt", str(files["--gt"]), "--pred", str(files["--pred"])])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {nan}: frame 7 contains non-finite samples\n"
+
 
 class TestRejected:
     def read_fails(self, path, *needles):

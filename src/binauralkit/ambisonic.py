@@ -31,15 +31,17 @@ class _Signal:
     """Samples stored once as `data`, a read-only float64 (channels, n) block.
 
     Each subclass declares its channels as fields before `sample_rate`; after
-    the check each channel field is a row view of `data`. One channel views
-    float64 input without copying (the caller's array stays writeable);
-    several are stacked into a block of their own.
+    the check each channel field is a row view of `data`. Built from its
+    channels, one channel views float64 input without copying (the caller's
+    array stays writeable) and several are stacked into a block of their own.
+    A block the library has just computed enters through `_adopt`, which
+    stores that block itself; both ways share one check-and-store step.
     """
 
     data: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        names = [f.name for f in fields(self) if f.init and f.name != "sample_rate"]
+        names = self._channels()
         rows = [np.asarray(getattr(self, name), dtype=np.float64) for name in names]
         for name, row in zip(names, rows):
             if row.ndim != 1:
@@ -47,7 +49,24 @@ class _Signal:
         lengths = {len(row) for row in rows}
         if len(lengths) != 1:
             raise ValueError(f"channel lengths differ: {sorted(lengths)}")
-        data = rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows)
+        self._store(rows[0][np.newaxis] if len(rows) == 1 else np.stack(rows))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, sample_rate: int):
+        """A signal that stores `data`, a float64 (channels, n) block the caller
+        has just built and owns, as its own `data` without copying it."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "sample_rate", sample_rate)
+        sig._store(data)
+        return sig
+
+    @classmethod
+    def _channels(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.init and f.name != "sample_rate"]
+
+    def _store(self, data: np.ndarray) -> None:
+        """Check `data` and the rate, then keep `data` read-only with a row view per channel."""
+        names = self._channels()
         for name, finite in zip(names, np.isfinite(data).all(axis=1)):
             if not finite:
                 raise ValueError(f"{name} channel contains non-finite samples")
@@ -56,6 +75,10 @@ class _Signal:
         object.__setattr__(self, "data", data)
         for name, row in zip(names, data):
             object.__setattr__(self, name, row)
+
+    def __reduce__(self):
+        # the block alone, adopted again on load: read-only, rows still its views
+        return type(self)._adopt, (self.data, self.sample_rate)
 
     @property
     def n_samples(self) -> int:
@@ -89,8 +112,7 @@ def encode(source: MonoSignal, direction: Direction) -> BFormat:
     """Encode a mono source at a direction into first-order B-format."""
     if source.n_samples == 0:
         raise ValueError("cannot encode an empty signal")
-    w, x, y, z = (gain * source.samples for gain in harmonic_vector(direction))
-    return BFormat(w, x, y, z, sample_rate=source.sample_rate)
+    return BFormat._adopt(harmonic_vector(direction)[:, None] * source.samples, source.sample_rate)
 
 
 def mix(parts: Sequence[BFormat]) -> BFormat:
@@ -104,4 +126,4 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     out = np.zeros((4, n))
     for p in parts:
         out[:, : p.n_samples] += p.data
-    return BFormat(*out, sample_rate=parts[0].sample_rate)
+    return BFormat._adopt(out, parts[0].sample_rate)

@@ -91,7 +91,7 @@ def default_speaker_array() -> SpeakerArray:
 
 def decode_wy(b: BFormat) -> BinauralSignal:
     """left = W + Y, right = W - Y."""
-    return BinauralSignal(b.w + b.y, b.w - b.y, b.sample_rate)
+    return BinauralSignal._adopt(b.w + [[1.0], [-1.0]] * b.y, b.sample_rate)
 
 
 def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
@@ -119,7 +119,7 @@ def _render(sig: _Signal, firs: np.ndarray, pack: HrirPack) -> BinauralSignal:
     """`fft_convolve` of the signal's channels with `firs`, built from `pack`."""
     if sig.sample_rate != pack.sample_rate:
         raise ValueError(f"signal rate {sig.sample_rate} != pack rate {pack.sample_rate}")
-    return BinauralSignal(*fft_convolve(sig.data, firs), sig.sample_rate)
+    return BinauralSignal._adopt(fft_convolve(sig.data, firs), sig.sample_rate)
 
 
 def _ear_pairs(entries) -> np.ndarray:

@@ -8,7 +8,8 @@ A pack is a directory holding one mono WAV per ear per direction and an
                   "left": "d000_L.wav", "right": "d000_R.wav"}, ...]}
 
 The index's ``sample_rate`` is checked before any WAV is read, and a WAV
-at another rate is reported under its entry's position.
+at another rate, or an entry's bad direction or filter, is reported under
+the entry's position.
 
 Synthetic packs model a spherical head: Woodworth arrival-time offsets,
 a configurable broadside level difference, and a one-pole low-pass at
@@ -251,8 +252,6 @@ def load_pack(path) -> HrirPack:
     for i, raw_entry in enumerate(index.entries):
         where = f"{index_path} entry {i}"
         e = _from_json(raw_entry, _IndexEntry, where)
-        with _naming(where):
-            direction = Direction.from_degrees(e.azimuth_deg, e.elevation_deg)
         firs = []
         for ref in (e.left, e.right):
             rate, taps = wavio.read_wav(root / ref, channels=1)
@@ -260,7 +259,9 @@ def load_pack(path) -> HrirPack:
                 raise ValueError(f"{where}: {ref} has sample rate {rate}, "
                                  f"pack declares {index.sample_rate}")
             firs.append(taps)
-        entries.append(HrirEntry(direction, *firs))
+        with _naming(where):
+            direction = Direction.from_degrees(e.azimuth_deg, e.elevation_deg)
+            entries.append(HrirEntry(direction, *firs))
     with _naming(index_path):
         return HrirPack(tuple(entries), index.sample_rate, name=index.name)
 

@@ -196,11 +196,8 @@ def reconstruct_lr(s_m: MonoSignal, diff: MonoSignal) -> BinauralSignal:
         raise ValueError(f"lengths differ: {s_m.n_samples} vs {diff.n_samples}")
     if s_m.sample_rate != diff.sample_rate:
         raise ValueError(f"sample rates differ: {s_m.sample_rate} vs {diff.sample_rate}")
-    return BinauralSignal(
-        (s_m.samples + diff.samples) / 2.0,
-        (s_m.samples - diff.samples) / 2.0,
-        s_m.sample_rate,
-    )
+    lr = (s_m.samples + [[1.0], [-1.0]] * diff.samples) / 2.0
+    return BinauralSignal._adopt(lr, s_m.sample_rate)
 
 
 def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> ComplexMask:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from binauralkit import wavio
+from binauralkit.cli import main
 from binauralkit.hrir import (
     HrirEntry,
     HrirPack,
@@ -271,6 +272,21 @@ class TestPackIO:
             load_pack(tmp_path)
         assert str(info.value) == (f"{tmp_path / 'index.json'} entry 0: l.wav has sample rate "
                                    "44100, pack declares 16000")
+
+    @pytest.mark.parametrize("ear", ["left", "right"])
+    def test_empty_fir_names_its_entry(self, tmp_path, capsys, ear):
+        save_pack(synth_pack(n_azimuths=4), tmp_path / "pack")
+        wavio.write_wav(tmp_path / "pack" / f"d001_{ear[0].upper()}.wav", 16000, np.zeros(0))
+        index = tmp_path / "pack" / "index.json"
+        message = f"{index} entry 1: {ear}_fir must be a non-empty 1-D filter"
+        with pytest.raises(ValueError) as info:
+            load_pack(tmp_path / "pack")
+        assert str(info.value) == message
+        wavio.write_wav(tmp_path / "in.wav", 16000, np.ones(100))
+        code = main(["render", "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav"),
+                     "--hrir-pack", str(tmp_path / "pack"), "--azimuth-deg", "30"])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.wav").exists()
 
     @pytest.mark.parametrize("entry, change, message", [
         (1, {"azimuth_deg": "ninety"}, "azimuth_deg in {index} entry 1: expected float, got 'ninety'"),

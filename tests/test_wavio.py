@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from binauralkit import wavio
@@ -368,3 +370,57 @@ class TestRejected:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: truncated WAV")
         assert not (tmp_path / "out.wav").exists()
+
+
+# 4-byte overwrites: values that read as sizes, counts, rates and tags in the
+# header, and as NaN or infinity in float32 samples
+WORDS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 8, 16, 24, 0xFFFE, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+                     0x7FC00000, 0x7F800000, 0xFF800000]),
+    st.integers(0, 0xFFFFFFFF),
+)
+EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.sampled_from(["header word", "word"]), st.integers(0, 2**16), WORDS),
+)
+
+
+class TestFuzzedFiles:
+    """Mutated copies of valid files: the reader returns finite data or raises
+    a ValueError that names the file, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        rng = np.random.default_rng(4)
+        out = {}
+        for fmt, data in (("float32", rng.uniform(-1, 1, (24, 2))),
+                          ("pcm16", rng.uniform(-1, 1, 40))):
+            path = tmp_path_factory.mktemp("fuzz") / f"{fmt}.wav"
+            wavio.write_wav(path, SR, data, fmt=fmt)
+            header = 58 if fmt == "float32" else 44  # RIFF, fmt (and fact) and data headers
+            out[fmt] = path.read_bytes(), header, data.ndim
+        return out
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(fmt=st.sampled_from(["float32", "pcm16"]), edits=st.lists(EDITS, min_size=1, max_size=3),
+           keep=st.none() | st.integers(0, 2**16), name_channels=st.booleans())
+    def test_reader_returns_finite_data_or_names_the_file(self, valid, tmp_path_factory, fmt, edits,
+                                                          keep, name_channels):
+        whole, header, ndim = valid[fmt]
+        buf = bytearray(whole)
+        for kind, pos, value in edits:
+            if kind == "flip":
+                buf[pos % len(buf)] ^= value
+            else:  # a header word hits the sizes and the format
+                pos %= (header if kind == "header word" else len(buf)) - 3
+                buf[pos : pos + 4] = struct.pack("<I", value)
+        if keep is not None:
+            del buf[keep % (len(buf) + 1) :]
+        path = tmp_path_factory.getbasetemp() / f"mutated-{fmt}.wav"
+        path.write_bytes(bytes(buf))
+        try:
+            _, data = wavio.read_wav(path, channels=ndim if name_channels else None)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert data.dtype == np.float64 and np.isfinite(data).all()

@@ -1,11 +1,10 @@
 """Pseudo visual-stereo pairs: placement sampling, multi-source mixing,
 and deterministic dataset generation.
 
-Scenes hold up to three mono sources, each peak-normalized, gain-scaled
-(gain doubles as the depth proxy and the visual patch scale) and encoded
-at its mapped direction; a scene's B-format mix is rendered once through
-the virtual speaker array. Every random draw is keyed off an explicit
-seed, so a (master_seed, index) pair fully determines each emitted byte.
+Scenes hold up to three mono sources, each fitted to the scene length, peak-normalized,
+gain-scaled (gain doubles as the depth proxy and the visual patch scale) and encoded at
+its mapped direction into one (4, n) B-format block, rendered once through the virtual
+speakers. Each random draw is keyed off a seed, so (master_seed, index) fixes each byte.
 A dataset config file is read against `DatasetConfig` (its `fov` against
 `FovConfig`) by `hrir._from_json`: exact keys, typed values.
 """
@@ -21,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import wavio
-from .ambisonic import MonoSignal, encode, mix, seconds_to_samples
+from .ambisonic import BFormat, MonoSignal, seconds_to_samples
 from .binaural import (
     BinauralSignal,
     SpeakerArray,
@@ -30,7 +29,7 @@ from .binaural import (
     write_binaural_wav,
 )
 from .hrir import HrirPack, _from_json, _naming, load_or_default_pack
-from .spherical import Direction
+from .spherical import Direction, harmonic_vector
 from .visualmap import DEFAULT_FOV, FovConfig, pixel_to_direction
 
 MAX_SOURCES = 3
@@ -55,8 +54,8 @@ class SceneSource:
     gain: float = 1.0
 
     def __post_init__(self):
-        if self.gain < 0:
-            raise ValueError(f"gain must be non-negative, got {self.gain}")
+        if not 0 <= self.gain < np.inf:
+            raise ValueError(f"gain must be finite and non-negative, got {self.gain}")
         u, v = self.placement
         object.__setattr__(self, "placement", (float(u), float(v)))
 
@@ -87,12 +86,15 @@ class PseudoPair:
     metadata: dict
 
 
+def _unit_peak(samples: np.ndarray, name: str = "signal") -> np.ndarray:
+    if (peak := np.max(np.abs(samples), initial=0.0)) == 0.0:
+        raise ValueError(f"cannot normalize an all-zero {name}")
+    return samples / peak
+
+
 def normalize_amplitude(s: MonoSignal) -> MonoSignal:
     """Peak-normalize so max |s(t)| is exactly 1."""
-    peak = np.max(np.abs(s.samples)) if s.n_samples else 0.0
-    if peak == 0.0:
-        raise ValueError("cannot normalize an all-zero signal")
-    return MonoSignal(s.samples / peak, s.sample_rate)
+    return MonoSignal(_unit_peak(s.samples), s.sample_rate)
 
 
 def resolve_placement(source: SceneSource, fov: FovConfig) -> tuple[float, float, Direction]:
@@ -119,12 +121,6 @@ class WavStore:
         return MonoSignal(data, sample_rate)
 
 
-def _fit_duration(s: MonoSignal, n: int) -> MonoSignal:
-    if s.n_samples >= n:
-        return MonoSignal(s.samples[:n], s.sample_rate)
-    return MonoSignal(np.pad(s.samples, (0, n - s.n_samples)), s.sample_rate)
-
-
 def _patch_box(u: float, v: float, gain: float) -> list[float]:
     half = PATCH_BASE_HALF * gain
     return [
@@ -140,13 +136,13 @@ def synth_pseudo_pair(
 ) -> PseudoPair:
     """Render one pseudo visual-stereo pair from a scene description.
 
-    Each clip is trimmed or zero-padded to the scene duration, peak
-    normalized, scaled by its gain and encoded at its mapped direction; the
-    renderer is linear, so the sources' B-format mix is rendered once.
+    Each clip is trimmed or zero-padded to n samples (all zeros there is an error naming
+    it), peak normalized, scaled by its gain and encoded at its direction into one (4, n)
+    block rendered once: `render_ambisonic_hrir(mix([encode(...)]))`, byte for byte.
     """
     n = seconds_to_samples(spec.duration_s, spec.sample_rate, "duration_s")
+    block = np.zeros((4, n))
     mono_mix = np.zeros(n)
-    parts = []
     per_source = []
     meta_sources = []
     for source in spec.sources:
@@ -157,13 +153,11 @@ def synth_pseudo_pair(
                 f"{spec.sample_rate}"
             )
         u, v, direction = resolve_placement(source, spec.fov)
-        scaled = MonoSignal(
-            normalize_amplitude(_fit_duration(clip, n)).samples * source.gain,
-            spec.sample_rate,
-        )
-        parts.append(encode(scaled, direction))
-        mono_mix += scaled.samples
-        per_source.append(scaled)
+        x = np.pad(clip.samples[:n], (0, n - min(clip.n_samples, n)))
+        scaled = _unit_peak(x, f"clip {source.audio_ref!r} in its first {n} samples") * source.gain
+        block += harmonic_vector(direction)[:, None] * scaled
+        mono_mix += scaled
+        per_source.append(MonoSignal(scaled, spec.sample_rate))
         meta_sources.append(
             {
                 "audio_ref": source.audio_ref,
@@ -184,7 +178,7 @@ def synth_pseudo_pair(
         "sources": meta_sources,
     }
     return PseudoPair(
-        binaural=render_ambisonic_hrir(mix(parts), arr, pack),
+        binaural=render_ambisonic_hrir(BFormat._adopt(block, spec.sample_rate), arr, pack),
         mono_mix=MonoSignal(mono_mix, spec.sample_rate),
         per_source_mono=tuple(per_source),
         metadata=metadata,
@@ -198,10 +192,10 @@ def _check_sampling(
     if len(pool) < 3:
         raise ValueError(f"clip pool must hold at least 3 clips, got {len(pool)}")
     ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,) or np.any(ratios < 0) or abs(ratios.sum() - 1.0) > 1e-9:
+    if ratios.shape != (3,) or not np.all(ratios >= 0) or abs(ratios.sum() - 1.0) > 1e-9:
         raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
-    if len(gain_range) != 2 or not 0 < gain_range[0] <= gain_range[1]:
-        raise ValueError(f"gain_range must be two values 0 < lo <= hi, got {gain_range}")
+    if len(gain_range) != 2 or not 0 < gain_range[0] <= gain_range[1] < np.inf:
+        raise ValueError(f"gain_range must be two finite values 0 < lo <= hi, got {gain_range}")
     return ratios
 
 

@@ -6,6 +6,7 @@ a pack entry, its position.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,22 @@ def test_unknown_index_key_is_rejected(tmp_path, index_change, entry_change, whe
     with pytest.raises(ValueError) as info:
         load_pack(tmp_path)
     assert str(info.value) == f"unknown keys in {where.format(index=path)}: gain"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ratios", [math.nan, 0.5, 0.5]), ("ratios", [0.5, 0.5, math.nan]),
+    ("gain_range", [0.5, math.inf]), ("gain_range", [math.inf, math.inf]),
+], ids=["ratios-nan-first", "ratios-nan-last", "gain_range-inf-hi", "gain_range-inf-both"])
+def test_non_finite_sampling_value_is_named(tmp_path, capsys, key, value):
+    message = {"ratios": "ratios must be 3 non-negative values summing to 1",
+               "gain_range": "gain_range must be two finite values 0 < lo <= hi"}[key]
+    path = write_config(tmp_path, **{key: value})
+    with pytest.raises(ValueError) as info:
+        load_dataset_config(path)
+    assert str(info.value).startswith(f"{path}: {message}, got ")
+    assert main(["dataset", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {key} must be")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_fov_key_takes_its_default(tmp_path):

@@ -9,6 +9,11 @@ straight ahead renders to rounding noise. So the error is measured against
 sum_k max(sum_c |G[ear, c]| * |b_k,c|), the largest value each source's
 render could reach before that cancellation; it bounds sum_k max|render_k|
 from above.
+
+The scene block itself is `mix` of the sources' `encode`s, product for
+product and sum for sum, so the single render is compared with
+`render_ambisonic_hrir(mix([encode(...)]))` byte for byte. A scene builds
+only the signals it returns, counted through `_Signal._store`.
 """
 
 import json
@@ -18,8 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from binauralkit import scenegen
-from binauralkit.ambisonic import MonoSignal, encode, seconds_to_samples
+from binauralkit import ambisonic, scenegen
+from binauralkit.ambisonic import MonoSignal, encode, mix, seconds_to_samples
 from binauralkit.binaural import (
     BinauralSignal,
     SpeakerArray,
@@ -34,7 +39,6 @@ from binauralkit.scenegen import (
     SceneSource,
     SceneSpec,
     _fetch,
-    _fit_duration,
     _patch_box,
     gen_dataset,
     normalize_amplitude,
@@ -45,6 +49,14 @@ from binauralkit.spherical import Direction
 from test_render_plan import TETRAHEDRON, directions, speaker_array_or_reject, uneven_pack
 
 REL_TOL = 1e-12
+
+
+def fit(clip, n):
+    """The clip's first n samples, zero-padded to n, as a signal."""
+    out = np.zeros(n)
+    m = min(clip.n_samples, n)
+    out[:m] = clip.samples[:m]
+    return MonoSignal(out, clip.sample_rate)
 
 
 def per_source_pseudo_pair(spec, store, pack, arr):
@@ -64,7 +76,7 @@ def per_source_pseudo_pair(spec, store, pack, arr):
             )
         u, v, direction = resolve_placement(source, spec.fov)
         scaled = MonoSignal(
-            normalize_amplitude(_fit_duration(clip, n)).samples * source.gain,
+            normalize_amplitude(fit(clip, n)).samples * source.gain,
             spec.sample_rate,
         )
         rendered = render_ambisonic_hrir(encode(scaled, direction), arr, pack)
@@ -235,3 +247,73 @@ class TestOneRenderPerScene:
         ]
         assert sum(ks) > len(ks)  # the batch holds multi-source scenes
         assert len(calls) == len(manifest) == 12
+
+
+PACK = synth_pack(n_azimuths=12)
+ARR = default_speaker_array()
+
+
+class TestSceneBlock:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        # (u, v, gain, clip length as a multiple of n): clips shorter and longer than n
+        sources=st.lists(
+            st.tuples(units, units, st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                      st.floats(0.05, 2.5)),
+            min_size=1, max_size=3,
+        ),
+        n=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sources=[(0.1, 0.2, 0.0, 0.5), (-0.4, 0.0, 1.0, 2.0), (0.5, -0.3, 0.7, 1.0)], n=300,
+             seed=0)
+    def test_bytes_equal_the_render_of_the_mixed_encodes(self, sources, n, seed):
+        rng = np.random.default_rng(seed)
+        store = {}
+        scene = []
+        for k, (u, v, gain, scale) in enumerate(sources):
+            store[f"clip{k}"] = MonoSignal(rng.normal(size=max(1, round(scale * n))), 16000)
+            scene.append(SceneSource(f"clip{k}", (u, v), gain=gain))
+        spec = SceneSpec(sources=tuple(scene), seed=seed, duration_s=n / 16000)
+        got = synth_pseudo_pair(spec, store, PACK, ARR)
+
+        scaled = [
+            MonoSignal(normalize_amplitude(fit(store[s.audio_ref], n)).samples * s.gain, 16000)
+            for s in spec.sources
+        ]
+        parts = [encode(x, resolve_placement(s, spec.fov)[2]) for x, s in zip(scaled, spec.sources)]
+        want = render_ambisonic_hrir(mix(parts), ARR, PACK)
+        assert got.binaural.data.tobytes() == want.data.tobytes()
+        mono = np.zeros(n)
+        for x in scaled:
+            mono += x.samples
+        assert got.mono_mix.samples.tobytes() == mono.tobytes()
+        assert [x.samples.tobytes() for x in got.per_source_mono] == [
+            x.samples.tobytes() for x in scaled
+        ]
+
+
+class TestSignalCount:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_scene_builds_k_plus_3_signals(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        # already-decoded clips, so only the scene's own signals are counted
+        store = {
+            f"c{j}": MonoSignal(0.3 * rng.normal(size=100 * (j + 1)), 16000) for j in range(k)
+        }
+        spec = SceneSpec(
+            sources=tuple(SceneSource(f"c{j}", (0.3 * j - 0.3, 0.1)) for j in range(k)),
+            duration_s=0.01,
+        )
+        built = []
+        store_block = ambisonic._Signal._store
+
+        def counting(sig, data):
+            built.append(type(sig).__name__)
+            store_block(sig, data)
+
+        monkeypatch.setattr(ambisonic._Signal, "_store", counting)
+        pair = synth_pseudo_pair(spec, store, PACK, ARR)
+        # one signal per source, the mono mix, the scene block and the binaural pair
+        assert sorted(built) == sorted(["MonoSignal"] * (k + 1) + ["BFormat", "BinauralSignal"])
+        assert len(pair.per_source_mono) == k

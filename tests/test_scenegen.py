@@ -94,6 +94,11 @@ class TestSceneTypes:
         with pytest.raises(ValueError):
             SceneSource("clip0", (0.0, 0.0), gain=-0.1)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_is_named(self, gain):
+        with pytest.raises(ValueError, match=r"^gain must be finite and non-negative, got"):
+            SceneSource("clip0", (0.0, 0.0), gain=gain)
+
     def test_patch_scale_is_the_gain(self, store, pack, arr):
         pair = synth_pseudo_pair(scene([SceneSource("clip0", (0.2, 0.0), gain=0.7)]),
                                  store, pack, arr)
@@ -188,6 +193,18 @@ class TestSynthPseudoPair:
         silent = {"s": MonoSignal(np.zeros(100), SR)}
         with pytest.raises(ValueError, match="all-zero"):
             synth_pseudo_pair(scene([SceneSource("s", (0.0, 0.0))], 0.01), silent, pack, arr)
+
+    def test_clip_silent_over_the_scene_is_named(self, pack, arr):
+        # loud after its first 200 samples, but the scene reads only 160
+        late = {"late.wav": MonoSignal(np.r_[np.zeros(200), np.ones(100)], SR)}
+        spec = scene([SceneSource("late.wav", (0.0, 0.0))], 0.01)
+        with pytest.raises(ValueError) as info:
+            synth_pseudo_pair(spec, late, pack, arr)
+        assert str(info.value) == (
+            "cannot normalize an all-zero clip 'late.wav' in its first 160 samples"
+        )
+        longer = scene([SceneSource("late.wav", (0.0, 0.0))], 0.015)
+        assert synth_pseudo_pair(longer, late, pack, arr).per_source_mono[0].samples[-1] == 1.0
 
     def test_rate_mismatch_rejected(self, pack, arr):
         wrong = {"w": MonoSignal(np.ones(100), 44100)}
@@ -414,3 +431,4 @@ class TestWavStore:
         wavio.write_wav(tmp_path / "st.wav", SR, np.zeros((10, 2)))
         with pytest.raises(ValueError, match="mono"):
             WavStore(tmp_path)["st.wav"]
+

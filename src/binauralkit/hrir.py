@@ -8,8 +8,8 @@ A pack is a directory holding one mono WAV per ear per direction and an
                   "left": "d000_L.wav", "right": "d000_R.wav"}, ...]}
 
 The index's ``sample_rate`` is checked before any WAV is read, and a WAV
-at another rate, or an entry's bad direction or filter, is reported under
-the entry's position.
+that is missing, unreadable or at another rate, or an entry's bad
+direction or filter, is reported under the entry's position.
 
 Synthetic packs model a spherical head: Woodworth arrival-time offsets,
 a configurable broadside level difference, and a one-pole low-pass at
@@ -182,7 +182,7 @@ def _naming(where):
     """Re-raise an input error as a ValueError whose message starts with `where`."""
     try:
         yield
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
@@ -218,7 +218,8 @@ def _from_json(value, hint, where):
             raise ValueError(f"{where}: expected {len(args)} values, got {len(value)}")
         return tuple(_from_json(v, a, where) for v, a in zip(value, args))
     if type(value) is hint or type(value) is int and hint is float:
-        return hint(value)
+        with _naming(where):  # an int too large for a float
+            return hint(value)
     raise ValueError(f"{where}: expected {'a list' if is_list else hint.__name__}, got {value!r}")
 
 
@@ -253,13 +254,13 @@ def load_pack(path) -> HrirPack:
         where = f"{index_path} entry {i}"
         e = _from_json(raw_entry, _IndexEntry, where)
         firs = []
-        for ref in (e.left, e.right):
-            rate, taps = wavio.read_wav(root / ref, channels=1)
-            if rate != index.sample_rate:
-                raise ValueError(f"{where}: {ref} has sample rate {rate}, "
-                                 f"pack declares {index.sample_rate}")
-            firs.append(taps)
         with _naming(where):
+            for ref in (e.left, e.right):
+                rate, taps = wavio.read_wav(root / ref, channels=1)
+                if rate != index.sample_rate:
+                    raise ValueError(f"{ref} has sample rate {rate}, "
+                                     f"pack declares {index.sample_rate}")
+                firs.append(taps)
             direction = Direction.from_degrees(e.azimuth_deg, e.elevation_deg)
             entries.append(HrirEntry(direction, *firs))
     with _naming(index_path):

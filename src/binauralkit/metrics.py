@@ -8,14 +8,15 @@ match the paper's protocol. The phase distance is the mean absolute
 principal-value phase difference between the l-r spectrograms, so its
 range is [0, pi] and the phase of an exactly zero bin counts as 0.
 
-`evaluate` transforms each STFT frame once. A window frame that reads no
-reflect padding (an inner frame) is the raw samples at its centre, so
-windows whose starts agree modulo the STFT hop share it: its FFT, and its
-partial sums over the bins, serve every window that holds it. Each window
-transforms only its few edge frames itself, and keeps its own Hilbert
-envelopes and SNR. Only the order of the sums differs from the standalone
-distances, which stay the per-window definition: each agrees with its
-`evaluate` field to within 1e-12 relative.
+`evaluate` transforms each STFT frame once, through one gather. Every
+frame of a window is a set of n_fft sample indices into the pair, its
+reflect padding resolved to the samples it mirrors. A frame that reads no
+padding (an inner frame) is keyed by its first sample in the pair, so its
+FFT, and its partial sums over the bins, serve every window that holds
+it; each edge frame is gathered for its own window. Each window keeps its
+own Hilbert envelopes and SNR. Only the order of the sums differs from
+the standalone distances, which stay the per-window definition: each
+agrees with its `evaluate` field to within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .spectral import (
     Spectrogram,
     StftConfig,
     _check_same_config,
+    _check_stft_length,
     _padded_window,
     _stft_bins,
 )
@@ -39,7 +41,7 @@ from .spectral import (
 DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
 SNR_CAP_DB = 120.0
-_CHUNK_FRAMES = 64  # inner frames transformed per batch; bounds the temporaries
+_CHUNK_FRAMES = 64  # frames transformed per batch; bounds the temporaries
 
 
 @dataclass
@@ -81,7 +83,7 @@ def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
 
 
 def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None,
-                   hop_s: float) -> tuple[int, range]:
+                   hop_s: float) -> tuple[int, np.ndarray]:
     """Check the pair and the window parameters, then return the window
     length in samples and the window starts."""
     _check_pair(gt, pred)
@@ -93,7 +95,7 @@ def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | N
         hop = seconds_to_samples(hop_s, gt.sample_rate, "hop_s")
         if n < win:
             raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
-    return win, range(0, n - win + 1, hop)
+    return win, np.arange(0, n - win + 1, hop)
 
 
 def _block(gt: BinauralSignal, pred: BinauralSignal, start: int, win: int) -> np.ndarray:
@@ -214,70 +216,60 @@ def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     return phase_mean_abs(gt_diff, pred_diff_spec.bins)
 
 
-def _inner_frames(cfg: StftConfig, win: int) -> range:
-    """The frames of a `win`-sample window that read no reflect padding:
-    frame t reads samples t*hop - n_fft//2 onwards, n_fft of them."""
-    pad = cfg.n_fft // 2
-    first = -(-pad // cfg.hop)
-    end = (win - cfg.n_fft + pad) // cfg.hop + 1
-    return range(first, max(first, end))
+def _window_frames(cfg: StftConfig, win: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where the STFT frames of a `win`-sample window read it: the first
+    sample of each inner frame (one that reads no reflect padding), the
+    n_fft samples of each other (edge) frame, and the number of frames.
+
+    Frame t reads samples t*hop - n_fft//2 + j, reflected once at the
+    window's ends, which suffices because n_fft//2 < win_length <= win.
+    """
+    _check_stft_length(cfg, win)
+    taps = np.arange(cfg.frame_count(win))[:, None] * cfg.hop - cfg.n_fft // 2 + np.arange(cfg.n_fft)
+    pos = (win - 1) - np.abs(win - 1 - np.abs(taps))
+    inner = (pos == taps).all(axis=1)
+    return pos[inner, 0], pos[~inner], len(pos)
 
 
-def _frame_sums(bins: np.ndarray) -> np.ndarray:
-    """Reduce a (6, frames, n_bins) block of gt l, gt r, pred l, pred r,
-    gt l-r and pred l-r bins to five sums per frame, shaped (frames, 5):
-    |G - P|^2 of l and of r, (|G| - |P|)^2 of l and of r, and the
-    |wrapped phase difference| of the l-r bins."""
+def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
+                at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transform the frames whose taps read samples `at` (..., n_fft) of the
+    pair and reduce their gt l, gt r, pred l, pred r, gt l-r and pred l-r
+    bins to five sums per frame, shaped (..., 5): |G - P|^2 of l and of r,
+    (|G| - |P|)^2 of l and of r, and the |wrapped phase difference| of the
+    l-r bins; and whether each frame's bins are all finite, shaped (...).
+
+    The l-r frames are the difference of the l and r frames, which are the
+    very values a window's own l-r transform reads.
+    """
+    raw = np.empty((6, *at.shape))
+    raw[:2] = gt.data[:, at]
+    raw[2:4] = pred.data[:, at]
+    # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
+    # differently, and the phase of near-zero bins is discontinuous
+    np.subtract(raw[0:4:2], raw[1:4:2], out=raw[4:])
+    raw *= _padded_window(cfg)
+    bins = np.fft.rfft(raw, axis=-1)
     mag = np.abs(bins[:4])
-    return np.column_stack((
+    sums = np.stack((
         *np.sum(np.abs(bins[:2] - bins[2:4]) ** 2, axis=-1),
         *np.sum((mag[:2] - mag[2:]) ** 2, axis=-1),
         np.sum(abs_phase_diff(bins[4], bins[5]), axis=-1),
-    ))
+    ), axis=-1)
+    return sums, np.isfinite(bins).all(axis=(0, -1))
 
 
-def _shared_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
-                 starts: range, inner: range) -> tuple[np.ndarray, np.ndarray]:
-    """The `_frame_sums` of each window's inner frames, added up per window,
-    and whether all those frames' bins are finite; shaped (windows, 5) and
-    (windows,).
-
-    Windows whose starts agree modulo the STFT hop read their inner frames
-    off one frame grid, so each grid frame is transformed once for all of
-    them, `_CHUNK_FRAMES` frames at a time, straight from the signals. Its
-    l-r frames are the difference of its l and r frames, which are the
-    very values a window's own l-r transform reads.
-    """
-    starts = np.asarray(starts)
-    sums = np.zeros((len(starts), 5))
-    finite = np.ones(len(starts), dtype=bool)
-    if not inner:
-        return sums, finite
-    pad, window = cfg.n_fft // 2, _padded_window(cfg)
-    views = [np.lib.stride_tricks.sliding_window_view(s.data, cfg.n_fft, axis=-1)
-             for s in (gt, pred)]
-    offsets = starts % cfg.hop
-    for offset in np.unique(offsets):
-        group = np.flatnonzero(offsets == offset)
-        # frame t of the window at s is grid frame k = s // hop + t, which
-        # reads n_fft samples from offset - pad + k * hop
-        first = starts[group] // cfg.hop + inner.start
-        grid = np.unique(first[:, None] + np.arange(len(inner)))
-        grid_sums = np.empty((len(grid), 5))
-        grid_finite = np.empty(len(grid), dtype=bool)
-        for a in range(0, len(grid), _CHUNK_FRAMES):
-            at = offset - pad + grid[a : a + _CHUNK_FRAMES] * cfg.hop
-            raw = np.empty((6, len(at), cfg.n_fft))
-            raw[:2] = views[0][:, at]
-            raw[2:4] = views[1][:, at]
-            np.subtract(raw[0:4:2], raw[1:4:2], out=raw[4:])
-            raw *= window
-            bins = np.fft.rfft(raw, axis=-1)
-            grid_finite[a : a + len(at)] = np.isfinite(bins).all(axis=(0, 2))
-            grid_sums[a : a + len(at)] = _frame_sums(bins)
-        for w, i in zip(group, np.searchsorted(grid, first)):
-            sums[w] = grid_sums[i : i + len(inner)].sum(axis=0)
-            finite[w] = grid_finite[i : i + len(inner)].all()
+def _gathered_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
+                   base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_frame_sums` of the frames that read samples `base[i] + rows[k]`,
+    `_CHUNK_FRAMES` frames at a time; shaped (len(base), len(rows), 5) and
+    (len(base), len(rows))."""
+    sums = np.empty((len(base), len(rows), 5))
+    finite = np.empty((len(base), len(rows)), dtype=bool)
+    step = max(1, _CHUNK_FRAMES // max(1, len(rows)))
+    for a in range(0, len(base), step):
+        chunk = slice(a, a + step)
+        sums[chunk], finite[chunk] = _frame_sums(gt, pred, cfg, base[chunk, None, None] + rows)
     return sums, finite
 
 
@@ -291,27 +283,27 @@ def evaluate(
 
     The phase distance compares each window's ground-truth l-r spectrogram
     with the prediction's own l-r spectrogram. Windows whose ground truth
-    is completely silent are excluded from the SNR average only. Inner
-    frames come from `_shared_sums`; each window transforms its edge
-    frames, and checks them and its envelopes, in window order.
+    is completely silent are excluded from the SNR average only. Every
+    frame, inner or edge, is gathered from the pair and transformed by
+    `_frame_sums`, in chunks; each window then adds up its frames' sums
+    and checks its bins and its envelopes, in window order.
     """
     win, starts = _window_starts(gt, pred, window_s, hop_s)
     sr = gt.sample_rate
     cfg = StftConfig(sr)
-    frames = cfg.frame_count(win)
-    inner = _inner_frames(cfg, win)
-    edge = np.r_[0 : inner.start, inner.stop : frames]
-    shared, shared_finite = _shared_sums(gt, pred, cfg, starts, inner)
+    first, edge, frames = _window_frames(cfg, win)
+    # an inner frame is keyed by its first sample in the pair, so every
+    # window that holds it shares its transform
+    keys = np.unique(starts[:, None] + first)
+    inner_sums, inner_finite = _gathered_sums(gt, pred, cfg, keys, np.arange(cfg.n_fft)[None])
+    edge_sums, edge_finite = _gathered_sums(gt, pred, cfg, starts, edge)
     terms = []
-    for start, inner_sums, inner_finite in zip(starts, shared, shared_finite):
-        block = _block(gt, pred, start, win)
-        # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
-        # differently, and the phase of near-zero bins is discontinuous
-        rows = np.concatenate((block, block[0::2] - block[1::2]))
-        edge_bins = np.swapaxes(_stft_bins(rows, sr, edge), -1, -2)
-        if not (inner_finite and np.all(np.isfinite(edge_bins))):
+    for w, start in enumerate(starts):
+        at = np.searchsorted(keys, start + first)
+        if not (inner_finite[at].all() and edge_finite[w].all()):
             raise ValueError("spectrogram contains non-finite bins")
-        sums = inner_sums + _frame_sums(edge_bins).sum(axis=0)
+        sums = inner_sums[at, 0].sum(axis=0) + edge_sums[w].sum(axis=0)
+        block = _block(gt, pred, start, win)
         terms.append((
             np.sqrt(sums[0]) + np.sqrt(sums[1]), _env_term(block),
             np.sqrt(sums[2]) + np.sqrt(sums[3]), _snr_db(*block),

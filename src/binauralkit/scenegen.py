@@ -271,7 +271,8 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
     """Read a dataset config JSON into the arguments of `gen_dataset`: `DatasetConfig`'s
     keys, plus `pack` (an HRIR pack folder) and `array` (speaker [azimuth, elevation]
     pairs in degrees), null for the default. Relative paths resolve against the config's
-    folder; each pool clip is checked to be a mono WAV at `sample_rate`."""
+    folder; each pool clip is checked to be a mono WAV at `sample_rate` that is not all
+    zero over the scene length."""
     path = Path(path)
     with _naming(path):
         raw = json.loads(path.read_text())
@@ -290,12 +291,15 @@ def load_dataset_config(path) -> tuple[DatasetConfig, WavStore, HrirPack, Speake
         with _naming(where):
             arr = SpeakerArray([Direction.from_degrees(az, el) for az, el in degrees])
     store = WavStore(root)
+    n = seconds_to_samples(config.duration_s, config.sample_rate, "duration_s")
     for ref in config.pool:  # kept as written; the returned store resolves them
         with _naming(f"pool clip {ref!r} in {path}"):
-            rate = store[ref].sample_rate
-            if rate != config.sample_rate:
-                raise ValueError(f"sample rate {rate}, but the config's sample_rate is "
-                                 f"{config.sample_rate}")
+            clip = store[ref]
+            if clip.sample_rate != config.sample_rate:
+                raise ValueError(f"sample rate {clip.sample_rate}, but the config's "
+                                 f"sample_rate is {config.sample_rate}")
+            if not np.any(clip.samples[:n]):
+                raise ValueError(f"all zero in its first {n} samples, the scene length")
     return config, store, pack, arr
 
 

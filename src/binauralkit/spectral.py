@@ -79,7 +79,8 @@ DEFAULT_STFT = StftConfig(16000)
 
 @dataclass(frozen=True, eq=False)
 class Spectrogram:
-    """Complex time-frequency matrix, n_fft/2+1 rows by T columns."""
+    """Complex time-frequency matrix, n_fft/2+1 rows by T columns; a given
+    `n_samples` must be a length whose STFT has T frames."""
 
     bins: np.ndarray
     config: StftConfig = DEFAULT_STFT
@@ -95,6 +96,10 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("spectrogram contains non-finite bins")
+        n = self.n_samples
+        if n is not None and (n < 0 or self.config.frame_count(n) != arr.shape[1]):
+            raise ValueError(f"n_samples {n} is not a length whose STFT has the "
+                             f"spectrogram's {arr.shape[1]} frames")
         object.__setattr__(self, "bins", arr)
 
     @property
@@ -127,18 +132,21 @@ def stft(signal: MonoSignal) -> Spectrogram:
     return Spectrogram(bins, StftConfig(signal.sample_rate), n_samples=signal.n_samples)
 
 
-def _stft_bins(x: np.ndarray, sample_rate: int, frames=slice(None)) -> np.ndarray:
-    """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames);
-    `frames` (a slice or an index array) picks the frames to transform."""
+def _check_stft_length(cfg: StftConfig, n: int) -> None:
+    if n < cfg.win_length:  # which also covers the reflection pad: n_fft // 2 < win_length
+        raise ValueError(f"signal of {n} samples is too short for the "
+                         f"{cfg.win_length}-sample STFT window at {cfg.sample_rate} Hz")
+
+
+def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
+    """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames)."""
     cfg = StftConfig(sample_rate)
     n = x.shape[-1]
+    _check_stft_length(cfg, n)
     pad = cfg.n_fft // 2
-    if n < cfg.win_length:  # which also covers the reflection pad: pad < win_length
-        raise ValueError(f"signal of {n} samples is too short for the "
-                         f"{cfg.win_length}-sample STFT window at {sample_rate} Hz")
     padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
     framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
-    framed = framed[..., :: cfg.hop, :][..., : cfg.frame_count(n), :][..., frames, :]
+    framed = framed[..., :: cfg.hop, :][..., : cfg.frame_count(n), :]
     return np.swapaxes(np.fft.rfft(framed * _padded_window(cfg), axis=-1), -1, -2)
 
 

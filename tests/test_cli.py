@@ -446,6 +446,16 @@ class TestDataset:
         self.write_config(tmp_path, pool + ["odd.wav"])
         self.assert_fails_before_work(tmp_path, capsys, "pool clip 'odd.wav' in", needle)
 
+    def test_pool_clip_silent_over_the_scene_fails_before_work(self, tmp_path, capsys):
+        # 0.05 s scenes read 800 samples; this clip is loud only after its first 800
+        pool = self.make_pool(tmp_path)
+        wavio.write_wav(tmp_path / "late.wav", SR, np.r_[np.zeros(800), np.full(400, 0.1)])
+        self.write_config(tmp_path, pool + ["late.wav"])
+        self.assert_fails_before_work(tmp_path, capsys, "pool clip 'late.wav' in",
+                                      "all zero in its first 800 samples, the scene length")
+        self.write_config(tmp_path, pool + ["late.wav"], duration_s=0.0501)  # 802 samples
+        load_dataset_config(tmp_path / "config.json")
+
     def assert_fails_before_work(self, tmp_path, capsys, *needles):
         config = tmp_path / "config.json"
         assert main(["dataset", "--config", str(config)]) == 1

@@ -2,7 +2,8 @@
 
 Every key of every object is read against its dataclass: a value of the
 wrong JSON type fails with an error that names the key, the file and, for
-a pack entry, its position.
+a pack entry, its position. Fuzzed values of any kind either load or fail
+with a ValueError that names the file.
 """
 
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binauralkit import wavio
 from binauralkit.cli import main
@@ -166,3 +169,76 @@ def test_readme_index_example_loads(tmp_path):
     assert (pack.name, pack.sample_rate, len(pack.entries)) == ("...", SR, 1)
     assert pack.entries[0].direction == Direction(0.0, 0.0)
     np.testing.assert_array_equal(pack.entries[0].right_fir, [0.5, 0.0])
+
+
+# --- fuzzed values: a load succeeds or raises a ValueError naming the file --
+
+NUMBERS = st.sampled_from([0, -1, 1, 3, 2**64, 10**400, -(10**400), 0.5, -0.0, 5e-324, 1e308,
+                           math.nan, math.inf, -math.inf]) | st.integers() | st.floats()
+STRINGS = st.sampled_from(["", ".", "..", "missing.wav", "c1.wav", "d001_R.wav", "pack",
+                           "index.json"]) | st.text(max_size=6)
+SCALARS = st.none() | st.booleans() | NUMBERS | STRINGS
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(STRINGS, inner, max_size=2), max_leaves=6)
+
+
+def mutated(doc, data):
+    """A copy of the JSON object `doc` with one or two values replaced, mostly
+    by values of their own JSON kind, or dropped. Each change walks down from
+    a top-level key, one level deeper at each step with probability 3/4."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.integers(0, 3)):
+            parent = parent[key]
+            key = data.draw(st.sampled_from(list(parent) if isinstance(parent, dict)
+                                            else range(len(parent))))
+        old = parent[key]
+        kind = (STRINGS if isinstance(old, str) else st.lists(NUMBERS, max_size=3)
+                if isinstance(old, list) else NUMBERS)
+        action = data.draw(st.sampled_from(["same kind", "any value", "drop"]))
+        if action == "drop":
+            del parent[key]
+        else:
+            parent[key] = data.draw(kind if action == "same kind" else VALUES)
+    return doc
+
+
+class TestFuzzedValues:
+    """Valid dataset configs and pack indexes with values replaced or dropped:
+    each load returns, or raises a ValueError whose message names the file."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        for name in ("pack", "indexed"):  # the config's pack, and the one whose index is fuzzed
+            save_pack(synth_pack(n_azimuths=4), root / name)
+        config = {"master_seed": 7, "count": 2, "pool": write_pool(root), "output_dir": "out",
+                  "ratios": [0.4, 0.5, 0.1], "sample_rate": SR, "duration_s": 0.05,
+                  "gain_range": [0.5, 1.0], "pack": "pack", "array": [[0, 0], [90, 0], [180, 0]],
+                  "fov": {"theta_v0": 0.5, "aspect_hw": 0.75, "vert_extent": 0.25}}
+        index = json.loads((root / "indexed" / "index.json").read_text())
+        return root, config, index
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_dataset_config(self, folder, data):
+        root, config, _ = folder
+        path = root / "dataset.json"
+        path.write_text(json.dumps(mutated(config, data)))
+        try:
+            load_dataset_config(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        assert not (root / "out").exists()
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_pack_index(self, folder, data):
+        root, _, index = folder
+        path = root / "indexed" / "index.json"
+        path.write_text(json.dumps(mutated(index, data)))
+        try:
+            load_pack(path.parent)
+        except ValueError as exc:
+            assert str(path) in str(exc)

@@ -4,11 +4,12 @@ The oracle below is the earlier `evaluate`, `stft_distance`, `env_distance`
 and `mag_distance`, each with its own window loop and one `stft` or
 `hilbert` call per channel. The standalone distances transform each
 window's channel rows as one batch, so they must equal the loops bit for
-bit. `evaluate` transforms each frame that reads no reflect padding once
-for every window that holds it, and adds up per-frame sums: every bin is
-the same, but the sums run in another order, so its fields must equal the
-loops' to within 1e-12 relative, and its windows, config and error
-messages exactly.
+bit. `evaluate` gathers every frame of every window from the pair through
+one path (an edge frame's reflect padding is an index map), transforms
+each frame that reads no padding once for every window that holds it, and
+adds up per-frame sums: every bin is the same, but the sums run in another
+order, so its fields must equal the loops' to within 1e-12 relative, and
+its windows, config and error messages exactly.
 """
 
 import math

@@ -209,6 +209,16 @@ class TestRoundTrip:
         anon = Spectrogram(spec.bins, spec.config)
         assert istft(anon).n_samples == (spec.bins.shape[1] - 1) * spec.config.hop
 
+    @pytest.mark.parametrize("n", [50000, 10, -5, 959, 1120])
+    def test_source_length_must_give_its_frame_count(self, n):
+        bins = rand_spec(np.random.default_rng(6), frames=7).bins
+        with pytest.raises(ValueError) as info:
+            Spectrogram(bins, DEFAULT_STFT, n_samples=n)
+        assert str(info.value) == (
+            f"n_samples {n} is not a length whose STFT has the spectrogram's 7 frames")
+        for n in (960, 1119):  # 1 + n // 160 = 7
+            assert istft(Spectrogram(bins, DEFAULT_STFT, n_samples=n)).n_samples == n
+
 
 class TestMask:
     def test_identity_mask(self):

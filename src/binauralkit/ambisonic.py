@@ -19,11 +19,15 @@ DEFAULT_SAMPLE_RATE = 16000
 
 
 def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:
-    """`seconds` in whole samples; a ValueError naming `name` if that is under 1."""
-    n = round(seconds * sample_rate) if 0 < seconds < math.inf else 0
-    if n < 1:
+    """`seconds` in whole samples; a ValueError naming `name` if that is under 1
+    or is 2**63 or more, as a huge finite `seconds` can make it."""
+    n = seconds * sample_rate if 0 < seconds < math.inf else 0
+    if not n < 2**63:  # an infinite product too
+        raise ValueError(f"{name} must be positive and count fewer than 2**63 samples "
+                         f"at {sample_rate} Hz, got {seconds}")
+    if round(n) < 1:
         raise ValueError(f"{name} must be positive and span at least one sample, got {seconds}")
-    return int(n)
+    return int(round(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,15 +8,16 @@ match the paper's protocol. The phase distance is the mean absolute
 principal-value phase difference between the l-r spectrograms, so its
 range is [0, pi] and the phase of an exactly zero bin counts as 0.
 
-`evaluate` transforms each STFT frame once, through one gather. Every
-frame of a window is a set of n_fft sample indices into the pair, its
-reflect padding resolved to the samples it mirrors. A frame that reads no
-padding (an inner frame) is keyed by its first sample in the pair, so its
-FFT, and its partial sums over the bins, serve every window that holds
-it; each edge frame is gathered for its own window. Each window keeps its
-own Hilbert envelopes and SNR. Only the order of the sums differs from
-the standalone distances, which stay the per-window definition: each
-agrees with its `evaluate` field to within 1e-12 relative.
+`evaluate` reads every STFT frame from one table. Every frame of a window
+is a set of n_fft sample indices into the pair, its reflect padding
+resolved to the samples it mirrors. A frame that reads no padding (an
+inner frame) is keyed by its first sample in the pair, so windows that
+hold it share one table row; a frame that reads padding (an edge frame)
+has a row of its own. Each row is transformed once, and each window adds
+up its rows' sums and keeps its own Hilbert envelopes and SNR. Only the
+order of the sums differs from the standalone distances, which stay the
+per-window definition: each agrees with its `evaluate` field to within
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -216,10 +217,10 @@ def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     return phase_mean_abs(gt_diff, pred_diff_spec.bins)
 
 
-def _window_frames(cfg: StftConfig, win: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Where the STFT frames of a `win`-sample window read it: the first
-    sample of each inner frame (one that reads no reflect padding), the
-    n_fft samples of each other (edge) frame, and the number of frames.
+def _window_frames(cfg: StftConfig, win: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (frames, n_fft) samples that the STFT frames of a `win`-sample
+    window read, its reflect padding resolved to the samples it mirrors,
+    and a mask of the frames that read padding (the edge frames).
 
     Frame t reads samples t*hop - n_fft//2 + j, reflected once at the
     window's ends, which suffices because n_fft//2 < win_length <= win.
@@ -227,8 +228,7 @@ def _window_frames(cfg: StftConfig, win: int) -> tuple[np.ndarray, np.ndarray, i
     _check_stft_length(cfg, win)
     taps = np.arange(cfg.frame_count(win))[:, None] * cfg.hop - cfg.n_fft // 2 + np.arange(cfg.n_fft)
     pos = (win - 1) - np.abs(win - 1 - np.abs(taps))
-    inner = (pos == taps).all(axis=1)
-    return pos[inner, 0], pos[~inner], len(pos)
+    return pos, (pos != taps).any(axis=1)
 
 
 def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
@@ -259,20 +259,6 @@ def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
     return sums, np.isfinite(bins).all(axis=(0, -1))
 
 
-def _gathered_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
-                   base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_frame_sums` of the frames that read samples `base[i] + rows[k]`,
-    `_CHUNK_FRAMES` frames at a time; shaped (len(base), len(rows), 5) and
-    (len(base), len(rows))."""
-    sums = np.empty((len(base), len(rows), 5))
-    finite = np.empty((len(base), len(rows)), dtype=bool)
-    step = max(1, _CHUNK_FRAMES // max(1, len(rows)))
-    for a in range(0, len(base), step):
-        chunk = slice(a, a + step)
-        sums[chunk], finite[chunk] = _frame_sums(gt, pred, cfg, base[chunk, None, None] + rows)
-    return sums, finite
-
-
 def evaluate(
     gt: BinauralSignal,
     pred: BinauralSignal,
@@ -284,30 +270,36 @@ def evaluate(
     The phase distance compares each window's ground-truth l-r spectrogram
     with the prediction's own l-r spectrogram. Windows whose ground truth
     is completely silent are excluded from the SNR average only. Every
-    frame, inner or edge, is gathered from the pair and transformed by
-    `_frame_sums`, in chunks; each window then adds up its frames' sums
-    and checks its bins and its envelopes, in window order.
+    distinct frame, inner or edge, is one row of a table that `_frame_sums`
+    fills in chunks; each window then checks its rows' bins, adds up their
+    sums and checks its envelopes, in window order.
     """
     win, starts = _window_starts(gt, pred, window_s, hop_s)
-    sr = gt.sample_rate
-    cfg = StftConfig(sr)
-    first, edge, frames = _window_frames(cfg, win)
-    # an inner frame is keyed by its first sample in the pair, so every
-    # window that holds it shares its transform
-    keys = np.unique(starts[:, None] + first)
-    inner_sums, inner_finite = _gathered_sums(gt, pred, cfg, keys, np.arange(cfg.n_fft)[None])
-    edge_sums, edge_finite = _gathered_sums(gt, pred, cfg, starts, edge)
+    cfg = StftConfig(gt.sample_rate)
+    taps, edge = _window_frames(cfg, win)
+    frames = len(taps)
+    # a key per frame of each window: an inner frame's first sample in the
+    # pair, which every window that holds it shares, or an edge frame's own
+    # negative id; the keys are dropped once they give the table's rows
+    _, first, rows = np.unique(
+        np.where(edge, -1 - np.arange(len(starts) * frames).reshape(-1, frames),
+                 starts[:, None] + taps[:, 0]),
+        return_index=True, return_inverse=True)
+    sums, finite = np.empty((len(first), 5)), np.empty(len(first), dtype=bool)
+    for a in range(0, len(first), _CHUNK_FRAMES):
+        w, t = np.divmod(first[a : a + _CHUNK_FRAMES], frames)
+        sums[a : a + _CHUNK_FRAMES], finite[a : a + _CHUNK_FRAMES] = _frame_sums(
+            gt, pred, cfg, starts[w, None] + taps[t])
     terms = []
-    for w, start in enumerate(starts):
-        at = np.searchsorted(keys, start + first)
-        if not (inner_finite[at].all() and edge_finite[w].all()):
+    for start, own in zip(starts, rows.reshape(len(starts), frames)):
+        if not finite[own].all():
             raise ValueError("spectrogram contains non-finite bins")
-        sums = inner_sums[at, 0].sum(axis=0) + edge_sums[w].sum(axis=0)
+        total = sums[own[~edge]].sum(axis=0) + sums[own[edge]].sum(axis=0)
         block = _block(gt, pred, start, win)
         terms.append((
-            np.sqrt(sums[0]) + np.sqrt(sums[1]), _env_term(block),
-            np.sqrt(sums[2]) + np.sqrt(sums[3]), _snr_db(*block),
-            sums[4] / (cfg.n_bins * frames),
+            np.sqrt(total[0]) + np.sqrt(total[1]), _env_term(block),
+            np.sqrt(total[2]) + np.sqrt(total[3]), _snr_db(*block),
+            total[4] / (cfg.n_bins * frames),
         ))
     stft_vals, env_vals, mag_vals, snr_vals, phase_vals = zip(*terms)
     snr_vals = [v for v in snr_vals if v is not None]  # silent ground truth
@@ -322,5 +314,5 @@ def evaluate(
         windows=len(terms),
         window_s=window_s,
         hop_s=None if window_s is None else hop_s,  # one window: the hop is unused
-        stft_config=StftConfig(sr),
+        stft_config=cfg,
     )

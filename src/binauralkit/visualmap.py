@@ -32,10 +32,10 @@ class FovConfig:
     def __post_init__(self):
         if not 0 < self.theta_v0 < math.pi:
             raise ValueError(f"theta_v0 must be in (0, pi), got {self.theta_v0}")
-        if self.aspect_hw <= 0:
-            raise ValueError(f"aspect_hw must be positive, got {self.aspect_hw}")
-        if self.vert_extent <= 0:
-            raise ValueError(f"vert_extent must be positive, got {self.vert_extent}")
+        if not 0 < self.aspect_hw < math.inf:
+            raise ValueError(f"aspect_hw must be positive and finite, got {self.aspect_hw}")
+        if not 0 < self.vert_extent < math.inf:
+            raise ValueError(f"vert_extent must be positive and finite, got {self.vert_extent}")
 
     def to_dict(self) -> dict:
         return asdict(self)

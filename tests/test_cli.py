@@ -245,6 +245,16 @@ class TestEval:
         assert err.startswith("error:")
         assert "hop_s must be positive and span at least one sample, got -0.1" in err
 
+    @pytest.mark.parametrize("flag, name", [("--window-s", "window_s"), ("--hop-s", "hop_s")])
+    def test_oversized_window_parameter_is_named(self, tmp_path, capsys, flag, name):
+        stereo = tmp_path / "gt.wav"
+        wavio.write_wav(stereo, SR, np.random.default_rng(64).normal(size=(SR, 2)) * 0.1)
+        assert main(["eval", "--gt", str(stereo), "--pred", str(stereo), flag, "1e308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stereo} vs {stereo}: ")
+        assert err.endswith(f": {name} must be positive and count fewer than 2**63 samples "
+                            f"at {SR} Hz, got 1e+308\n")
+
 
 class TestCompareDecoders:
     def test_writes_three_wavs_and_distances(self, tmp_path, tone):
@@ -605,3 +615,20 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_eval_loads_no_numpy_ma(tmp_path):
+    # a fresh interpreter, so modules other tests loaded do not count
+    rng = np.random.default_rng(65)
+    for name in ("gt.wav", "pred.wav"):
+        wavio.write_wav(tmp_path / name, SR, rng.normal(size=(SR, 2)) * 0.1)
+    src = str(Path(binauralkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys; from binauralkit import cli; "
+        "code = cli.main(['eval', '--gt', 'gt.wav', '--pred', 'pred.wav']); "
+        "assert code == 0, code; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma is loaded'"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
+                   capture_output=True)

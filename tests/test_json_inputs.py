@@ -112,6 +112,34 @@ def test_unknown_fov_key_is_rejected(tmp_path):
     assert str(info.value) == f"unknown keys in fov in {path}: vert_extnt"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("vert_extent", math.nan), ("vert_extent", math.inf), ("aspect_hw", math.nan),
+    ("aspect_hw", math.inf),
+])
+def test_non_finite_fov_value_fails_before_work(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, fov={"theta_v0": 0.5, key: value})
+    message = f"fov in {path}: {key} must be positive and finite, got {value}"
+    with pytest.raises(ValueError) as info:
+        load_dataset_config(path)
+    assert str(info.value) == message
+    assert main(["dataset", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_duration_is_named(tmp_path, capsys):
+    # 1e308 s is an infinite sample count at any rate
+    path = write_config(tmp_path, duration_s=1e308)
+    message = (f"{path}: duration_s must be positive and count fewer than 2**63 samples "
+               f"at {SR} Hz, got 1e+308")
+    with pytest.raises(ValueError) as info:
+        load_dataset_config(path)
+    assert str(info.value) == message
+    assert main(["dataset", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("index_change, entry_change, where", [
     ({"gain": 1.0}, {}, "{index}"),
     ({}, {"gain": 1.0}, "{index} entry 1"),

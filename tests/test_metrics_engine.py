@@ -4,12 +4,12 @@ The oracle below is the earlier `evaluate`, `stft_distance`, `env_distance`
 and `mag_distance`, each with its own window loop and one `stft` or
 `hilbert` call per channel. The standalone distances transform each
 window's channel rows as one batch, so they must equal the loops bit for
-bit. `evaluate` gathers every frame of every window from the pair through
-one path (an edge frame's reflect padding is an index map), transforms
-each frame that reads no padding once for every window that holds it, and
-adds up per-frame sums: every bin is the same, but the sums run in another
-order, so its fields must equal the loops' to within 1e-12 relative, and
-its windows, config and error messages exactly.
+bit. `evaluate` reads every frame of every window from one table of
+distinct frames (an edge frame's reflect padding is an index map), so it
+transforms each frame that reads no padding once for every window that
+holds it, and adds up per-frame sums: every bin is the same, but the sums
+run in another order, so its fields must equal the loops' to within 1e-12
+relative, and its windows, config and error messages exactly.
 """
 
 import math
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binauralkit import metrics
 from binauralkit._kernels import phase_mean_abs
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.binaural import BinauralSignal
@@ -324,6 +325,8 @@ class TestChecks:
             (-0.63, 0.1, "window_s", "-0.63"),
             (1e-5, 0.1, "window_s", "1e-05"),
             (math.nan, 0.1, "window_s", "nan"),
+            (1e308, 0.1, "window_s", r"1e\+308"),  # an infinite sample count
+            (0.63, 1e308, "hop_s", r"1e\+308"),
         ],
     )
     @pytest.mark.parametrize("metric", [evaluate, stft_distance, env_distance, mag_distance])
@@ -336,6 +339,42 @@ class TestChecks:
     def test_whole_signal_ignores_hop(self):
         gt, pred, *_ = noise_case(8, 4000, None, 0.1)
         assert evaluate(gt, pred, window_s=None, hop_s=-1.0).windows == 1
+
+
+def distinct_tap_rows(n, sample_rate, window_s, hop_s):
+    """How many distinct rows of n_fft pair indices the windows' STFT frames
+    read, found by reflect-padding each window's own indices."""
+    cfg = StftConfig(sample_rate)
+    win, starts = _window_starts(n, sample_rate, window_s, hop_s)
+    rows = set()
+    for s in starts:
+        padded = np.pad(np.arange(s, s + win), cfg.n_fft // 2, mode="reflect")
+        for t in range(cfg.frame_count(win)):
+            rows.add(tuple(padded[t * cfg.hop : t * cfg.hop + cfg.n_fft]))
+    return len(rows)
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize("sr, n, window_s, hop_s", [
+        (SR, 2 * SR, 0.63, 0.1),  # a window hop on the STFT hop grid
+        (SR, 2 * SR, 0.63, 0.0371),  # 594 samples, off the 160-sample grid
+        (22050, 2 * 22050, 0.63, 0.1),  # 2205 samples, off the 221-sample grid
+        (SR, SR, 0.03, 0.01),  # 480 samples, under the 512-sample frame: all edge frames
+        (SR, SR, None, 0.1),
+        (50, 150, 0.63, 0.1),  # a 1-point FFT: no edge frame
+    ])
+    def test_each_distinct_frame_is_transformed_once(self, monkeypatch, sr, n, window_s, hop_s):
+        gt, pred, *_ = noise_case(15, n, window_s, hop_s, sr=sr)
+        expected = evaluate(gt, pred, window_s=window_s, hop_s=hop_s)
+        frame_sums, transformed = metrics._frame_sums, []
+
+        def counting(gt, pred, cfg, at):
+            transformed.append(math.prod(at.shape[:-1]))
+            return frame_sums(gt, pred, cfg, at)
+
+        monkeypatch.setattr(metrics, "_frame_sums", counting)
+        assert evaluate(gt, pred, window_s=window_s, hop_s=hop_s) == expected
+        assert sum(transformed) == distinct_tap_rows(n, sr, window_s, hop_s)
 
 
 class TestMemory:

@@ -86,6 +86,14 @@ class TestSceneTypes:
         with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
             SceneSpec(sources=(src,), sample_rate=rate)
 
+    @pytest.mark.parametrize("duration_s", [1e308, 1e16])  # inf samples; 1.6e20 samples
+    def test_oversized_duration_is_named(self, duration_s):
+        src = SceneSource("clip0", (0.0, 0.0))
+        with pytest.raises(ValueError) as info:
+            SceneSpec(sources=(src,), sample_rate=SR, duration_s=duration_s)
+        assert str(info.value) == (f"duration_s must be positive and count fewer than 2**63 "
+                                   f"samples at {SR} Hz, got {duration_s}")
+
     def test_placement_is_a_pixel_pair(self):
         with pytest.raises(TypeError):
             SceneSource("c", Direction(0.0, 0.0))

@@ -29,6 +29,13 @@ class TestFovConfig:
         with pytest.raises(ValueError):
             FovConfig(vert_extent=0.0)
 
+    @pytest.mark.parametrize("key", ["aspect_hw", "vert_extent"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_are_named(self, key, value):
+        # NaN fails every comparison, so the check is written as 0 < x < inf
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite, got {value}$"):
+            FovConfig(**{key: value})
+
     @pytest.mark.parametrize(
         "raw, message",
         [

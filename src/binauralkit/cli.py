@@ -3,6 +3,8 @@
 Angles are taken in degrees here and converted to radians internally.
 Every subcommand is deterministic given its flags and input files; all
 failures exit nonzero with a single "error: ..." line on stderr.
+Each subcommand imports the modules it runs, so a process loads only
+those: importing this module loads no other binauralkit module and no numpy.
 """
 
 from __future__ import annotations
@@ -13,27 +15,19 @@ import math
 import sys
 from pathlib import Path
 
-from . import wavio
-from .ambisonic import MonoSignal, encode
-from .binaural import (
-    BinauralSignal,
-    decode_wy,
-    default_speaker_array,
-    read_binaural_wav,
-    render_ambisonic_hrir,
-    render_direct_hrir,
-    write_binaural_wav,
-)
-from .hrir import load_or_default_pack, load_pack, save_pack, synth_pack
-from .metrics import DEFAULT_HOP_S, DEFAULT_WINDOW_S, evaluate
-from .scenegen import gen_dataset, load_dataset_config
-from .spherical import Direction
-from .visualmap import DEFAULT_FOV, pixel_to_direction
+TYPE_CHECKING = False  # read as true by type checkers; `typing` is not imported to learn it
+if TYPE_CHECKING:
+    from .ambisonic import MonoSignal
+    from .binaural import BinauralSignal
+    from .spherical import Direction
 
 DECODERS = ("wy", "hrir", "ambisonic-hrir")
 
 
 def _read_mono(path) -> MonoSignal:
+    from . import wavio
+    from .ambisonic import MonoSignal
+
     sample_rate, data = wavio.read_wav(path, channels=1)
     return MonoSignal(data, sample_rate)
 
@@ -42,13 +36,25 @@ def _resolve_direction(args) -> Direction:
     if args.pixel is not None:
         if args.azimuth_deg is not None or args.elevation_deg is not None:
             raise ValueError("give either --pixel or angle flags, not both")
+        from .visualmap import DEFAULT_FOV, pixel_to_direction
+
         return pixel_to_direction(args.pixel[0], args.pixel[1], DEFAULT_FOV)
     if args.azimuth_deg is None:
         raise ValueError("a direction is required: --pixel U V or --azimuth-deg A")
+    from .spherical import Direction
+
     return Direction.from_degrees(args.azimuth_deg, args.elevation_deg or 0.0)
 
 
 def _render_with(decoder: str, source: MonoSignal, direction: Direction, pack) -> BinauralSignal:
+    from .ambisonic import encode
+    from .binaural import (
+        decode_wy,
+        default_speaker_array,
+        render_ambisonic_hrir,
+        render_direct_hrir,
+    )
+
     if decoder == "wy":
         return decode_wy(encode(source, direction))
     if decoder == "hrir":
@@ -61,6 +67,9 @@ def _render_with(decoder: str, source: MonoSignal, direction: Direction, pack) -
 
 
 def cmd_render(args) -> int:
+    from .binaural import write_binaural_wav
+    from .hrir import load_or_default_pack
+
     source = _read_mono(args.in_wav)
     direction = _resolve_direction(args)
     pack = None
@@ -77,6 +86,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    from .scenegen import gen_dataset, load_dataset_config
+
     config, store, pack, arr = load_dataset_config(args.config)
     manifest = gen_dataset(config, store, pack, arr)
     ks = [len(m["source_wavs"]) for m in manifest]
@@ -86,10 +97,15 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .binaural import read_binaural_wav
+    from .metrics import evaluate
+
     gt = read_binaural_wav(args.gt_wav)
     pred = read_binaural_wav(args.pred_wav)
+    # a flag left out is absent from args, so evaluate's own default applies
+    windows = {k: v for k, v in vars(args).items() if k in ("window_s", "hop_s")}
     try:
-        report = evaluate(gt, pred, window_s=args.window_s, hop_s=args.hop_s)
+        report = evaluate(gt, pred, **windows)
     except ValueError as exc:  # what evaluate rejects is this pair or its windows
         raise ValueError(f"{args.gt_wav} vs {args.pred_wav}: {exc}") from exc
     if args.report is not None:
@@ -103,6 +119,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare_decoders(args) -> int:
+    from .binaural import write_binaural_wav
+    from .hrir import load_or_default_pack
+    from .metrics import evaluate
+
     source = _read_mono(args.in_wav)
     direction = _resolve_direction(args)
     pack = load_or_default_pack(args.hrir_pack, source.sample_rate)
@@ -125,6 +145,8 @@ def cmd_compare_decoders(args) -> int:
 
 
 def cmd_hrir_synth(args) -> int:
+    from .hrir import load_pack, save_pack, synth_pack
+
     pack = synth_pack(
         n_azimuths=args.n_azimuths,
         head_radius=args.head_radius,
@@ -172,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", dest="gt_wav", required=True, help="ground-truth stereo WAV")
     p.add_argument("--pred", dest="pred_wav", required=True, help="predicted stereo WAV")
     p.add_argument("--report", default=None, help="write the report JSON here")
-    p.add_argument("--window-s", type=float, default=DEFAULT_WINDOW_S)
-    p.add_argument("--hop-s", type=float, default=DEFAULT_HOP_S)
+    p.add_argument("--window-s", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--hop-s", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(

@@ -263,7 +263,10 @@ class DatasetConfig:
         object.__setattr__(self, "sample_rate", wavio.as_sample_rate(self.sample_rate))
         if min(self.master_seed, self.count) < 0:
             raise ValueError(f"master_seed {self.master_seed} and count {self.count} must be >= 0")
-        seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
+        n = seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
+        if n > (most := wavio.max_frames(2)):  # each scene's binaural WAV must be writable
+            raise ValueError(f"duration_s must fit a scene's float32 stereo WAV in 4 GiB, "
+                             f"at most {most} samples at {self.sample_rate} Hz, got {self.duration_s}")
         _check_sampling(self.pool, self.ratios, self.gain_range)
 
 

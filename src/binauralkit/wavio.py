@@ -32,6 +32,10 @@ _FORMATS = {
     (IEEE_FLOAT, 8): ("<f8", 0.0, 1.0),
 }
 _WRITE_FORMATS = {"float32": (IEEE_FLOAT, 4), "pcm16": (PCM, 2)}
+# what a written file's RIFF size counts besides its samples: "WAVE", the fmt
+# chunk (a float one with its zero cbSize), the fact chunk (float only) and
+# the data chunk header
+_HEADER_BYTES = {PCM: 36, IEEE_FLOAT: 50}
 
 
 def as_sample_rate(value) -> int:
@@ -117,6 +121,13 @@ def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
     return int(sample_rate), data.reshape((-1, got) if got > 1 else -1)
 
 
+def max_frames(channels: int, fmt: str = "float32") -> int:
+    """The most frames of `channels` channels a `fmt` file from `write_wav` holds:
+    its 32-bit RIFF size, headers plus samples, caps a WAV file at 4 GiB."""
+    tag, width = _WRITE_FORMATS[fmt]
+    return (0xFFFFFFFF - _HEADER_BYTES[tag]) // (channels * width)
+
+
 def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") -> None:
     """Write (n,) or (n, channels) finite samples as a float32 (default) or pcm16 WAV."""
     if fmt not in _WRITE_FORMATS:
@@ -133,8 +144,7 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
         if value >> bits:
             raise ValueError(f"{path}: {name} {value} exceeds the {bits}-bit field of a WAV header")
     nbytes = data.size * width
-    # the RIFF size counts "WAVE", the fmt, fact and data chunk headers and the samples
-    riff_size = (36 if tag == PCM else 50) + nbytes
+    riff_size = _HEADER_BYTES[tag] + nbytes
     if riff_size > 0xFFFFFFFF:
         raise ValueError(f"{path}: {nbytes} bytes of samples exceed the 4 GiB size "
                          "limit of a RIFF/WAVE file")

@@ -439,6 +439,15 @@ class TestDataset:
         assert f"span at least one sample, got {float(duration_s)}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_duration_fails_before_work(self, tmp_path, capsys):
+        # 1.6e14 samples at 16 kHz: a scene's float32 stereo WAV would pass 4 GiB
+        pool = self.make_pool(tmp_path)
+        config = self.write_config(tmp_path, pool, duration_s=1e10)
+        assert main(["dataset", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: duration_s must fit")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_pool_clip_fails_before_work(self, tmp_path, capsys):
         config = self.write_config(tmp_path, ["ghost.wav"])
         assert main(["dataset", "--config", str(config)]) == 1
@@ -588,47 +597,37 @@ def test_readme_library_example_runs(capsys):
     assert json.loads(capsys.readouterr().out) == report.to_dict()
 
 
-def test_cli_import_leaves_out_scipy_signal_and_numba():
+PACKAGE = Path(binauralkit.__file__).resolve().parent
+SUBMODULES = sorted(f"binauralkit.{p.stem}" for p in PACKAGE.glob("*.py")
+                    if p.stem not in ("__init__", "cli"))
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (None, ["numpy", *SUBMODULES]),
+    (["render", "--in", "tone.wav", "--out", "out.wav", "--azimuth-deg", "30"],
+     ["binauralkit.metrics", "binauralkit.spectral", "binauralkit.scenegen",
+      "binauralkit._kernels"]),
+    (["eval", "--gt", "gt.wav", "--pred", "pred.wav"],
+     ["binauralkit.scenegen", "binauralkit.visualmap"]),
+], ids=["import", "render", "eval"])
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     # a fresh interpreter, so modules other tests loaded do not count
-    src = str(Path(binauralkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, binauralkit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numba' "
-        "or m == 'scipy.signal' or m.startswith('scipy.signal.')))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
-
-
-def test_cli_import_loads_no_scipy():
-    # numpy is the one runtime dependency: WAV I/O is wavio's own
-    src = str(Path(binauralkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, binauralkit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
-
-
-def test_eval_loads_no_numpy_ma(tmp_path):
-    # a fresh interpreter, so modules other tests loaded do not count
+    write_tone(tmp_path / "tone.wav")
     rng = np.random.default_rng(65)
     for name in ("gt.wav", "pred.wav"):
         wavio.write_wav(tmp_path / name, SR, rng.normal(size=(SR, 2)) * 0.1)
-    src = str(Path(binauralkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        "import sys; from binauralkit import cli; "
-        "code = cli.main(['eval', '--gt', 'gt.wav', '--pred', 'pred.wav']); "
-        "assert code == 0, code; "
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma is loaded'"
+        "import json, sys; from binauralkit import cli; "
+        "argv = json.loads(sys.argv[1]); code = 0 if argv is None else cli.main(argv); "
+        "print(json.dumps([code, sorted(sys.modules)]))"
     )
-    subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
-                   capture_output=True)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    code, modules = json.loads(out.splitlines()[-1])
+    assert code == 0
+    # numpy is the one runtime dependency, and evaluate's np.unique takes no numpy.ma
+    heavy = [m for m in modules
+             if m.split(".")[0] in ("scipy", "numba") or m.split(".")[:2] == ["numpy", "ma"]]
+    assert heavy == []
+    assert sorted(set(unused) & set(modules)) == []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from binauralkit import wavio
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.binaural import default_speaker_array
 from binauralkit.hrir import synth_pack
@@ -327,6 +328,15 @@ class TestGenDataset:
     def test_rate_must_be_a_positive_whole_number(self, tmp_path, rate):
         with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
             replace(self.make_config(tmp_path), sample_rate=rate)
+
+    def test_duration_is_bounded_by_the_scene_wav(self, tmp_path):
+        # the binaural WAV of a scene may hold at most max_frames(2) float32 frames
+        most = wavio.max_frames(2)
+        assert replace(self.make_config(tmp_path), duration_s=most / 16000).duration_s
+        too_long = (most + 1) / 16000
+        with pytest.raises(ValueError, match=f"duration_s must fit .* at most {most} samples "
+                           f"at 16000 Hz, got {too_long}"):
+            replace(self.make_config(tmp_path), duration_s=too_long)
 
     def test_count_zero_writes_empty_manifest(self, tmp_path, store, pack, arr):
         manifest = gen_dataset(self.make_config(tmp_path / "d", count=0), store, pack, arr)

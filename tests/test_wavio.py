@@ -118,6 +118,15 @@ class TestWriterMatchesScipy:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("fmt, channels", [("float32", 2), ("pcm16", 1)])
+    def test_max_frames_is_the_riff_size_limit(self, tmp_path, fmt, channels):
+        most = wavio.max_frames(channels, fmt)
+        assert most == {"float32": 536_870_905, "pcm16": 2**31 - 19}[fmt]
+        data = np.broadcast_to(np.float64(0.0), (most + 1, channels))  # allocates nothing
+        with pytest.raises(ValueError, match="exceed the 4 GiB size limit"):
+            wavio.write_wav(tmp_path / "big.wav", SR, data, fmt=fmt)
+
+
 class TestReaderMatchesScipy:
     def check(self, path, channels):
         rate, data = wavio.read_wav(path)

@@ -13,18 +13,34 @@ import numpy as np
 
 
 def overlap_add(frames: np.ndarray, window: np.ndarray, hop: int, out_len: int):
-    """Accumulate windowed frames and the squared-window envelope."""
+    """Accumulate windowed frames and the squared-window envelope.
+
+    Frame t starts at sample t * hop. Each frame is cut into pieces of hop
+    samples, and piece k of every frame is added at once through a
+    (frames, hop) view of the output, from the last piece to the first:
+    so each sample adds its frames in ascending order, as a loop over the
+    frames would.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     window = np.asarray(window, dtype=np.float64)
     hop, out_len = int(hop), int(out_len)
-    acc = np.zeros(out_len)
-    wsq = np.zeros(out_len)
+    count, length = frames.shape
+    pieces = -(-length // hop)
+    if count and out_len < (count - 1) * hop + length:
+        raise ValueError(f"{count} frames of {length} samples at hop {hop} "
+                         f"overrun {out_len} output samples")
+    # room for whole pieces past the last frame's end; cut off on return
+    size = max(out_len, (count + pieces - 1) * hop)
+    acc = np.zeros(size)
+    wsq = np.zeros(size)
     wsq_frame = window * window
-    for t in range(frames.shape[0]):
-        off = t * hop
-        acc[off:off + frames.shape[1]] += frames[t] * window
-        wsq[off:off + frames.shape[1]] += wsq_frame
-    return acc, wsq
+    for k in reversed(range(pieces)):
+        cols = slice(k * hop, min((k + 1) * hop, length))
+        width = cols.stop - cols.start
+        span = slice(k * hop, (k + count) * hop)  # row t: where piece k of frame t lands
+        acc[span].reshape(count, hop)[:, :width] += frames[:, cols] * window[cols]
+        wsq[span].reshape(count, hop)[:, :width] += wsq_frame[cols]
+    return acc[:out_len], wsq[:out_len]
 
 
 def sum_contributions(contribs: np.ndarray) -> np.ndarray:

@@ -8,6 +8,15 @@ match the paper's protocol. The phase distance is the mean absolute
 principal-value phase difference between the l-r spectrograms, so its
 range is [0, pi] and the phase of an exactly zero bin counts as 0.
 
+The envelope of a row x of n samples is |hilbert(x)|, the magnitude of
+the analytic signal; `hilbert` stays its definition. ENV computes it as
+sqrt(x*x + h*h), where h = H{x} = irfft(-1j * rfft(x), n) with the DC bin
+(and, for even n, the Nyquist bin) of rfft(x) zeroed: one real inverse FFT
+in place of a complex one and no complex magnitude. It agrees with
+|hilbert(x)| to within a few ulps of the row's peak; a row whose squares
+would underflow or overflow takes |hilbert(x)| itself. A distance that
+overflows raises a ValueError that names its metric.
+
 `evaluate` reads every STFT frame from one table. Every frame of a window
 is a set of n_fft sample indices into the pair, its reflect padding
 resolved to the samples it mirrors. A frame that reads no padding (an
@@ -43,6 +52,9 @@ DEFAULT_WINDOW_S = 0.63
 DEFAULT_HOP_S = 0.1
 SNR_CAP_DB = 120.0
 _CHUNK_FRAMES = 64  # frames transformed per batch; bounds the temporaries
+# x*x + h*h in the subnormal range costs an envelope up to 2**-537 absolute,
+# which is under an ulp of a row peak of at least this
+_SMALLEST_PEAK = 2.0**-480
 
 
 @dataclass
@@ -133,8 +145,35 @@ def _mag_term(spec: np.ndarray) -> float:
     return _stft_term(np.abs(spec))
 
 
+def _envelope(x: np.ndarray) -> np.ndarray:
+    """|x + i H{x}|, the magnitude of `hilbert(x)`, along the last axis.
+
+    H{x} is one real inverse FFT of -1j times the one-sided spectrum with
+    its DC bin (and, for even n, its Nyquist bin) zeroed. A row whose
+    squares leave the normal float range (an envelope peak under
+    `_SMALLEST_PEAK`, or one that overflows) takes `np.abs(hilbert(...))`,
+    which squares nothing, instead.
+    """
+    n = x.shape[-1]
+    spec = np.fft.rfft(x, axis=-1)
+    spec[..., 0] = 0.0
+    if n % 2 == 0:
+        spec[..., -1] = 0.0
+    spec *= -1j
+    env = np.fft.irfft(spec, n, axis=-1)  # H{x}
+    with np.errstate(over="ignore"):  # such rows are redone below
+        env *= env
+        env += x * x
+    np.sqrt(env, out=env)
+    peak = np.max(env, axis=-1)
+    redo = ~((peak >= _SMALLEST_PEAK) & (peak < np.inf))
+    if redo.any():
+        env[redo] = np.abs(hilbert(x[redo]))
+    return env
+
+
 def _env_term(block: np.ndarray) -> float:
-    envelope = np.abs(hilbert(block))  # magnitude of the analytic signal
+    envelope = _envelope(block)
     if not np.all(np.isfinite(envelope)):
         raise ValueError("envelope contains non-finite values")
     return _stft_term(envelope)
@@ -150,6 +189,14 @@ def hilbert(x: np.ndarray) -> np.ndarray:
     spec = np.fft.rfft(x, axis=-1)
     spec[..., 1 : (n + 1) // 2] *= 2.0
     return np.fft.ifft(spec, n, axis=-1)
+
+
+def _finite(name: str, value) -> float:
+    """`value` as a float, or a ValueError naming the metric when it is not
+    finite: finite samples whose squares or spectra overflow."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is {value}: the pair's samples are too large to score")
+    return float(value)
 
 
 def _snr_db(gt_l, gt_r, pd_l, pd_r) -> float | None:
@@ -170,7 +217,7 @@ def stft_distance(
 ) -> float:
     """Complex L2 spectrogram distance, both channels, averaged over windows."""
     blocks = _windows(gt, pred, window_s, hop_s)
-    return float(np.mean([_stft_term(_spectra(b, gt.sample_rate)) for b in blocks]))
+    return _finite("stft", np.mean([_stft_term(_spectra(b, gt.sample_rate)) for b in blocks]))
 
 
 def env_distance(
@@ -181,7 +228,7 @@ def env_distance(
 ) -> float:
     """L2 distance between Hilbert envelopes, both channels, averaged over windows."""
     blocks = _windows(gt, pred, window_s, hop_s)
-    return float(np.mean([_env_term(b) for b in blocks]))
+    return _finite("env", np.mean([_env_term(b) for b in blocks]))
 
 
 def mag_distance(
@@ -192,7 +239,7 @@ def mag_distance(
 ) -> float:
     """L2 distance between magnitude spectrograms, both channels, averaged."""
     blocks = _windows(gt, pred, window_s, hop_s)
-    return float(np.mean([_mag_term(_spectra(b, gt.sample_rate)) for b in blocks]))
+    return _finite("mag", np.mean([_mag_term(_spectra(b, gt.sample_rate)) for b in blocks]))
 
 
 def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
@@ -202,7 +249,7 @@ def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
     value = _snr_db(gt.left, gt.right, pred.left, pred.right)
     if value is None:
         raise ValueError("ground truth is identically zero; SNR is undefined")
-    return float(value)
+    return _finite("snr_db", value)
 
 
 def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
@@ -243,8 +290,8 @@ def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
     very values a window's own l-r transform reads.
     """
     raw = np.empty((6, *at.shape))
-    raw[:2] = gt.data[:, at]
-    raw[2:4] = pred.data[:, at]
+    np.take(gt.data, at, axis=1, out=raw[:2])
+    np.take(pred.data, at, axis=1, out=raw[2:4])
     # the l-r rows get their own transform: STFT(l) - STFT(r) rounds
     # differently, and the phase of near-zero bins is discontinuous
     np.subtract(raw[0:4:2], raw[1:4:2], out=raw[4:])
@@ -306,10 +353,10 @@ def evaluate(
     if not snr_vals:
         raise ValueError("ground truth is identically zero; SNR is undefined")
     return MetricsReport(
-        stft_dist=float(np.mean(stft_vals)),
-        env=float(np.mean(env_vals)),
-        mag=float(np.mean(mag_vals)),
-        snr_db=float(np.mean(snr_vals)),
+        stft_dist=_finite("stft", np.mean(stft_vals)),
+        env=_finite("env", np.mean(env_vals)),
+        mag=_finite("mag", np.mean(mag_vals)),
+        snr_db=_finite("snr_db", np.mean(snr_vals)),
         d_phase=float(np.mean(phase_vals)),
         windows=len(terms),
         window_s=window_s,

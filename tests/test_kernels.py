@@ -40,6 +40,17 @@ def phase_loop(a, b):
     return acc / (rows * cols)
 
 
+def overlap_add_loop(frames, window, hop, out_len):
+    """The frame-by-frame overlap-add, one windowed frame per step."""
+    acc = np.zeros(out_len)
+    wsq = np.zeros(out_len)
+    for t in range(frames.shape[0]):
+        off = t * hop
+        acc[off:off + frames.shape[1]] += frames[t] * window
+        wsq[off:off + frames.shape[1]] += window * window
+    return acc, wsq
+
+
 class TestOverlapAdd:
     def test_numpy_path_matches_naive(self, rng):
         frames = rng.normal(size=(12, 64))
@@ -55,6 +66,30 @@ class TestOverlapAdd:
                 wsq2[t * hop + i] += window[i] ** 2
         np.testing.assert_allclose(acc, acc2, atol=1e-12)
         np.testing.assert_allclose(wsq, wsq2, atol=1e-12)
+
+    @pytest.mark.parametrize("count, length, hop, spare", [
+        (1001, 512, 160, 0),  # the 16 kHz istft
+        (12, 64, 16, 0),  # a hop that divides the frame
+        (7, 10, 3, 5),  # one that does not, and output past the last frame
+        (9, 64, 64, 0),  # frames that just touch
+        (5, 64, 100, 0),  # a hop longer than the frame
+        (1, 64, 16, 0),  # a single frame
+        (0, 64, 16, 3),  # no frame
+        (3, 1, 1, 0),
+    ])
+    def test_bytes_equal_the_frame_loop(self, rng, count, length, hop, spare):
+        frames = rng.normal(size=(count, length)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+        window = rng.normal(size=length)
+        out_len = max((count - 1) * hop + length, 0) + spare
+        got = k.overlap_add(frames, window, hop, out_len)
+        want = overlap_add_loop(frames, window, hop, out_len)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_an_output_too_short_for_the_frames_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="overrun 40 output samples"):
+            k.overlap_add(rng.normal(size=(3, 16)), np.ones(16), 16, 40)
 
 
 class TestSumContributions:

@@ -2,9 +2,11 @@
 
 The oracle below is the earlier `evaluate`, `stft_distance`, `env_distance`
 and `mag_distance`, each with its own window loop and one `stft` or
-`hilbert` call per channel. The standalone distances transform each
-window's channel rows as one batch, so they must equal the loops bit for
-bit. `evaluate` reads every frame of every window from one table of
+`hilbert` call per channel. The standalone STFT and magnitude distances
+transform each window's channel rows as one batch, so they must equal the
+loops bit for bit; the envelope comes from one real inverse FFT rather
+than from `hilbert`, so the envelope distance must equal its loop to within
+1e-12 relative. `evaluate` reads every frame of every window from one table of
 distinct frames (an edge frame's reflect padding is an index map), so it
 transforms each frame that reads no padding once for every window that
 holds it, and adds up per-frame sums: every bin is the same, but the sums
@@ -32,6 +34,7 @@ from binauralkit.metrics import (
     evaluate,
     hilbert,
     mag_distance,
+    snr,
     stft_distance,
 )
 from binauralkit.spectral import DEFAULT_STFT, StftConfig, _stft_bins, stft
@@ -243,16 +246,41 @@ class TestEquivalence:
             env_distance(gt, pred, **windows),
             mag_distance(gt, pred, **windows),
         )
-        assert standalone == (
+        assert (standalone[0], standalone[2]) == (
             oracle_stft_distance(gt, pred, cfg, **windows),
-            oracle_env_distance(gt, pred, **windows),
             oracle_mag_distance(gt, pred, cfg, **windows),
         )
+        # the envelope comes from one real inverse FFT, the oracle's from `hilbert`
+        assert standalone[1] == pytest.approx(
+            oracle_env_distance(gt, pred, **windows), rel=REL, abs=0)
         assert_same_report(report, outcome(oracle_evaluate, gt, pred, cfg=cfg, **windows))
         if isinstance(report, MetricsReport):
             # the standalone functions are the report's own terms
             assert standalone == pytest.approx(
                 (report.stft_dist, report.env, report.mag), rel=REL, abs=0)
+
+
+ENVELOPE_ULPS = 32  # of the row peak; up to 15 measured, at 27783 samples
+
+
+class TestEnvelope:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 512, 777, 4096, 10080, 10081, 27783])
+        | st.integers(1, 30000),
+        scales=st.lists(st.sampled_from([1e-300, 1e-200, 1e-150, 1e-140, 1e-3, 1.0, 1e3, 1e150]),
+                        min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # rows on both sides of the 2**-480 (3.2e-145) peak, and rows whose squares overflow
+    @example(n=10080, scales=[1e-300, 1.0, 1e200, 0.0], seed=1)
+    @example(n=27783, scales=[1e-146, 1e-144, 1e154, 1e300], seed=2)
+    def test_equals_the_analytic_signal_magnitude(self, n, scales, seed):
+        x = np.random.default_rng(seed).normal(size=(4, n)) * np.array(scales)[:, None]
+        got, want = metrics._envelope(x), np.abs(hilbert(x))
+        assert got.shape == want.shape
+        peak = np.max(want, axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= ENVELOPE_ULPS * np.spacing(peak))
 
 
 # --- behaviour the engine keeps or adds ----------------------------------
@@ -274,6 +302,39 @@ class TestChecks:
         gt = BinauralSignal(x, x, SR)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="envelope contains non-finite"):
             env_distance(gt, gt)
+
+    @pytest.mark.parametrize("metric, raises_at", [
+        (evaluate, {1e152: "stft", 1e154: "stft"}),
+        (stft_distance, {1e152: "stft", 1e154: "stft"}),
+        (env_distance, {1e154: "env"}),  # its squares overflow later than the spectra's
+        (mag_distance, {1e152: "mag", 1e154: "mag"}),
+        (snr, {1e154: "snr_db"}),
+    ], ids=["evaluate", "stft_distance", "env_distance", "mag_distance", "snr"])
+    def test_a_distance_that_overflows_is_named(self, metric, raises_at):
+        # finite samples whose metric overflows to inf or nan, which a JSON
+        # report could not hold
+        rng = np.random.default_rng(16)
+        gt, pred = rng.normal(size=(2, 2, SR))
+        unit = np.max(np.abs((gt, pred)))
+        for peak in (1e150, 1e152, 1e154):
+            pair = (BinauralSignal(*(gt * (peak / unit)), SR),
+                    BinauralSignal(*(pred * (peak / unit)), SR))
+            with np.errstate(all="ignore"):
+                if peak in raises_at:
+                    with pytest.raises(ValueError, match=f"^{raises_at[peak]} is (inf|nan): "):
+                        metric(*pair)
+                else:
+                    got = metric(*pair)
+                    values = got.to_dict() if isinstance(got, MetricsReport) else {"v": got}
+                    assert all(math.isfinite(v) for v in values.values() if isinstance(v, float))
+
+    def test_a_large_identical_pair_scores_zero(self):
+        # the squares overflow, but the distances are exact zeros
+        gt, *_ = noise_case(17, SR, 0.63, 0.1)
+        big = BinauralSignal(*(gt.data * 1e200), SR)
+        with np.errstate(all="ignore"):
+            report = evaluate(big, big)
+        assert (report.stft_dist, report.env, report.mag, report.d_phase) == (0.0, 0.0, 0.0, 0.0)
 
     def test_env_distance_at_any_sample_rate(self):
         rng = np.random.default_rng(5)

@@ -121,7 +121,7 @@ def cmd_eval(args) -> int:
 def cmd_compare_decoders(args) -> int:
     from .binaural import write_binaural_wav
     from .hrir import load_or_default_pack
-    from .metrics import evaluate
+    from .metrics import SilentGroundTruthError, evaluate
 
     source = _read_mono(args.in_wav)
     direction = _resolve_direction(args)
@@ -130,9 +130,10 @@ def cmd_compare_decoders(args) -> int:
     distances = {}
     for i, a in enumerate(DECODERS):
         for b in DECODERS[i + 1 :]:
-            ref = rendered[a]
-            silent = not ref.data.any()  # distances are undefined
-            distances[f"{a}_vs_{b}"] = None if silent else evaluate(ref, rendered[b]).to_dict()
+            try:
+                distances[f"{a}_vs_{b}"] = evaluate(rendered[a], rendered[b]).to_dict()
+            except SilentGroundTruthError:  # silent in every window: distances are undefined
+                distances[f"{a}_vs_{b}"] = None
     out_dir = Path(args.out_dir)  # created only once every score is in
     out_dir.mkdir(parents=True, exist_ok=True)
     for decoder, sig in rendered.items():

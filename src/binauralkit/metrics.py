@@ -17,12 +17,13 @@ in place of a complex one and no complex magnitude. It agrees with
 would underflow or overflow takes |hilbert(x)| itself. A distance that
 overflows raises a ValueError that names its metric.
 
-`evaluate` reads every STFT frame from one table. Every frame of a window
-is a set of n_fft sample indices into the pair, its reflect padding
-resolved to the samples it mirrors. A frame that reads no padding (an
-inner frame) is keyed by its first sample in the pair, so windows that
-hold it share one table row; a frame that reads padding (an edge frame)
-has a row of its own. Each row is transformed once, and each window adds
+`evaluate` reads every STFT frame from one table. The taps of a window's
+frames are `spectral`'s framing of the window's sample indices: n_fft
+indices into the pair per frame, its reflect padding resolved to the
+samples it mirrors. A frame that reads no padding (an inner frame) is
+keyed by its first sample in the pair, so windows that hold it share one
+table row; a frame that reads padding (an edge frame, whose taps are not
+consecutive) has a row of its own. Each row is transformed once, and each window adds
 up its rows' sums and keeps its own Hilbert envelopes and SNR. Only the
 order of the sums differs from the standalone distances, which stay the
 per-window definition: each agrees with its `evaluate` field to within
@@ -43,7 +44,7 @@ from .spectral import (
     Spectrogram,
     StftConfig,
     _check_same_config,
-    _check_stft_length,
+    _frames,
     _padded_window,
     _stft_bins,
 )
@@ -55,6 +56,10 @@ _CHUNK_FRAMES = 64  # frames transformed per batch; bounds the temporaries
 # x*x + h*h in the subnormal range costs an envelope up to 2**-537 absolute,
 # which is under an ulp of a row peak of at least this
 _SMALLEST_PEAK = 2.0**-480
+
+
+class SilentGroundTruthError(ValueError):
+    """The ground truth is silent wherever it is scored, so its SNR is undefined."""
 
 
 @dataclass
@@ -96,9 +101,10 @@ def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
 
 
 def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None,
-                   hop_s: float) -> tuple[int, np.ndarray]:
+                   hop_s: float, stft: bool = True) -> tuple[int, np.ndarray]:
     """Check the pair and the window parameters, then return the window
-    length in samples and the window starts."""
+    length in samples and the window starts. A window of the STFT metrics
+    (`stft`) must hold the STFT window."""
     _check_pair(gt, pred)
     n = gt.n_samples
     if window_s is None:
@@ -108,6 +114,11 @@ def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | N
         hop = seconds_to_samples(hop_s, gt.sample_rate, "hop_s")
         if n < win:
             raise ValueError(f"signal of {n} samples is shorter than the {window_s} s window")
+        if stft:  # env needs no STFT, at any rate
+            cfg = StftConfig(gt.sample_rate)
+            if win < cfg.win_length:
+                raise ValueError(f"window_s {window_s} spans {win} samples, fewer than the "
+                                 f"{cfg.win_length}-sample STFT window at {cfg.sample_rate} Hz")
     return win, np.arange(0, n - win + 1, hop)
 
 
@@ -116,10 +127,11 @@ def _block(gt: BinauralSignal, pred: BinauralSignal, start: int, win: int) -> np
     return np.concatenate((gt.data[:, start : start + win], pred.data[:, start : start + win]))
 
 
-def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float):
+def _windows(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None, hop_s: float,
+             stft: bool = True):
     """Check the pair and the window parameters, then return an iterator over
     the windows' `_block`s."""
-    win, starts = _window_starts(gt, pred, window_s, hop_s)
+    win, starts = _window_starts(gt, pred, window_s, hop_s, stft)
     return (_block(gt, pred, s, win) for s in starts)
 
 
@@ -227,7 +239,7 @@ def env_distance(
     hop_s: float = DEFAULT_HOP_S,
 ) -> float:
     """L2 distance between Hilbert envelopes, both channels, averaged over windows."""
-    blocks = _windows(gt, pred, window_s, hop_s)
+    blocks = _windows(gt, pred, window_s, hop_s, stft=False)
     return _finite("env", np.mean([_env_term(b) for b in blocks]))
 
 
@@ -248,7 +260,7 @@ def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
     _check_pair(gt, pred)
     value = _snr_db(gt.left, gt.right, pred.left, pred.right)
     if value is None:
-        raise ValueError("ground truth is identically zero; SNR is undefined")
+        raise SilentGroundTruthError("ground truth is identically zero; SNR is undefined")
     return _finite("snr_db", value)
 
 
@@ -262,20 +274,6 @@ def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
             f"shape mismatch: gt diff {gt_diff.shape} vs prediction {pred_diff_spec.shape}"
         )
     return phase_mean_abs(gt_diff, pred_diff_spec.bins)
-
-
-def _window_frames(cfg: StftConfig, win: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (frames, n_fft) samples that the STFT frames of a `win`-sample
-    window read, its reflect padding resolved to the samples it mirrors,
-    and a mask of the frames that read padding (the edge frames).
-
-    Frame t reads samples t*hop - n_fft//2 + j, reflected once at the
-    window's ends, which suffices because n_fft//2 < win_length <= win.
-    """
-    _check_stft_length(cfg, win)
-    taps = np.arange(cfg.frame_count(win))[:, None] * cfg.hop - cfg.n_fft // 2 + np.arange(cfg.n_fft)
-    pos = (win - 1) - np.abs(win - 1 - np.abs(taps))
-    return pos, (pos != taps).any(axis=1)
 
 
 def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,
@@ -316,14 +314,16 @@ def evaluate(
 
     The phase distance compares each window's ground-truth l-r spectrogram
     with the prediction's own l-r spectrogram. Windows whose ground truth
-    is completely silent are excluded from the SNR average only. Every
+    is completely silent are excluded from the SNR average only; when every
+    window's is, `SilentGroundTruthError` is raised. Every
     distinct frame, inner or edge, is one row of a table that `_frame_sums`
     fills in chunks; each window then checks its rows' bins, adds up their
     sums and checks its envelopes, in window order.
     """
     win, starts = _window_starts(gt, pred, window_s, hop_s)
     cfg = StftConfig(gt.sample_rate)
-    taps, edge = _window_frames(cfg, win)
+    taps = _frames(np.arange(win), cfg)  # each frame's samples, counted from the window start
+    edge = (np.diff(taps, axis=-1) != 1).any(axis=-1)  # taps not consecutive: reads padding
     frames = len(taps)
     # a key per frame of each window: an inner frame's first sample in the
     # pair, which every window that holds it shares, or an edge frame's own
@@ -351,7 +351,7 @@ def evaluate(
     stft_vals, env_vals, mag_vals, snr_vals, phase_vals = zip(*terms)
     snr_vals = [v for v in snr_vals if v is not None]  # silent ground truth
     if not snr_vals:
-        raise ValueError("ground truth is identically zero; SNR is undefined")
+        raise SilentGroundTruthError("ground truth is silent in every window; SNR is undefined")
     return MetricsReport(
         stft_dist=_finite("stft", np.mean(stft_vals)),
         env=_finite("env", np.mean(env_vals)),

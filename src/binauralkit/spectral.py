@@ -4,7 +4,9 @@ The geometry is the signal's sample rate (`StftConfig(rate)`, whose only
 argument is the rate): a 25 ms periodic Hann window, centered in the
 smallest power-of-two frame, at a 10 ms hop. At 16 kHz that is
 512/400/160: a 0.63 s clip gives 257 x 64 bins. Frames are centered with
-reflection padding; the inverse uses overlap-add with squared-window
+reflection padding, and they are cut in one place, `_frames`: `stft`
+frames a signal with it, and `metrics.evaluate` frames a window's sample
+indices with it. The inverse uses overlap-add with squared-window
 normalization, which every rate from 50 Hz up keeps invertible (the
 squared window covers each sample by at least NOLA_TOL).
 """
@@ -132,22 +134,23 @@ def stft(signal: MonoSignal) -> Spectrogram:
     return Spectrogram(bins, StftConfig(signal.sample_rate), n_samples=signal.n_samples)
 
 
-def _check_stft_length(cfg: StftConfig, n: int) -> None:
+def _frames(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """The `frame_count(n)` STFT frames of each row of an (..., n) array, shaped
+    (..., frames, n_fft): a read-only view of the rows reflect-padded by
+    n_fft // 2, one frame of n_fft samples per hop."""
+    n = x.shape[-1]
     if n < cfg.win_length:  # which also covers the reflection pad: n_fft // 2 < win_length
         raise ValueError(f"signal of {n} samples is too short for the "
                          f"{cfg.win_length}-sample STFT window at {cfg.sample_rate} Hz")
+    pad = cfg.n_fft // 2
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
+    return np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)[..., :: cfg.hop, :]
 
 
 def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
     """`stft` bins of each row of an (..., n) array, shaped (..., n_bins, frames)."""
     cfg = StftConfig(sample_rate)
-    n = x.shape[-1]
-    _check_stft_length(cfg, n)
-    pad = cfg.n_fft // 2
-    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="reflect")
-    framed = np.lib.stride_tricks.sliding_window_view(padded, cfg.n_fft, axis=-1)
-    framed = framed[..., :: cfg.hop, :][..., : cfg.frame_count(n), :]
-    return np.swapaxes(np.fft.rfft(framed * _padded_window(cfg), axis=-1), -1, -2)
+    return np.swapaxes(np.fft.rfft(_frames(x, cfg) * _padded_window(cfg), axis=-1), -1, -2)
 
 
 def istft(spec: Spectrogram) -> MonoSignal:

@@ -256,6 +256,16 @@ class TestEval:
                             f"at {SR} Hz, got 1e+308\n")
 
 
+    def test_window_shorter_than_the_stft_window_is_named(self, tmp_path, capsys):
+        stereo = tmp_path / "gt.wav"
+        wavio.write_wav(stereo, SR, np.random.default_rng(65).normal(size=(SR, 2)) * 0.1)
+        assert main(["eval", "--gt", str(stereo), "--pred", str(stereo),
+                     "--window-s", "0.005"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {stereo} vs {stereo}: window_s 0.005 spans 80 samples, fewer than "
+            f"the 400-sample STFT window at {SR} Hz\n")
+
+
 class TestCompareDecoders:
     def test_writes_three_wavs_and_distances(self, tmp_path, tone):
         out = tmp_path / "cmp"
@@ -309,6 +319,22 @@ class TestCompareDecoders:
         distances = json.loads((out / "decoder_distances.json").read_text())
         assert distances == dict.fromkeys(
             ["wy_vs_hrir", "wy_vs_ambisonic-hrir", "hrir_vs_ambisonic-hrir"])
+
+    def test_reference_silent_in_every_window_gives_null(self, tmp_path):
+        # the clip sounds only after the last 0.63 s window's end, sample
+        # 4800 + 10080; evaluate, not the CLI, decides which pair it can score
+        clip = np.zeros(SR)
+        clip[15000:] = 0.5 * np.sin(np.arange(SR - 15000) * 2 * np.pi * 440 / SR)
+        tail = tmp_path / "tail.wav"
+        wavio.write_wav(tail, SR, clip)
+        out = tmp_path / "cmp"
+        assert main(["compare-decoders", "--in", str(tail), "--out-dir", str(out),
+                     "--azimuth-deg", "30"]) == 0
+        distances = json.loads((out / "decoder_distances.json").read_text())
+        assert distances["wy_vs_hrir"] is None and distances["wy_vs_ambisonic-hrir"] is None
+        for pair, score in distances.items():
+            _, ref = wavio.read_wav(out / f"{pair.split('_vs_')[0]}.wav")
+            assert (score is None) == (not ref[:14880].any()), pair
 
     @pytest.mark.parametrize("sr, n_fft, win, hop", GEOMETRIES)
     def test_scores_at_any_rate(self, tmp_path, sr, n_fft, win, hop):

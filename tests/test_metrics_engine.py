@@ -130,7 +130,7 @@ def oracle_evaluate(gt, pred, window_s=0.63, hop_s=0.1, cfg=DEFAULT_STFT):
             snr_vals.append(value)
         phase_vals.append(phase_mean_abs(_spec(gl - gr, sr, cfg), _spec(pl - pr, sr, cfg)))
     if not snr_vals:
-        raise ValueError("ground truth is identically zero; SNR is undefined")
+        raise ValueError("ground truth is silent in every window; SNR is undefined")
     return MetricsReport(
         stft_dist=float(np.mean(stft_vals)),
         env=float(np.mean(env_vals)),
@@ -396,6 +396,38 @@ class TestChecks:
         gt = BinauralSignal(rng.normal(size=SR), rng.normal(size=SR), SR)
         with pytest.raises(ValueError, match=f"{name} must be positive.*got {value}$"):
             metric(gt, gt, window_s=window_s, hop_s=hop_s)
+
+    @pytest.mark.parametrize("metric", [evaluate, stft_distance, mag_distance])
+    def test_a_window_shorter_than_the_stft_window_is_named(self, metric):
+        rng = np.random.default_rng(18)
+        gt = BinauralSignal(*rng.normal(size=(2, SR)), SR)
+        with pytest.raises(ValueError, match="^window_s 0.005 spans 80 samples, fewer than "
+                           "the 400-sample STFT window at 16000 Hz$"):
+            metric(gt, gt, window_s=0.005)
+
+    def test_env_distance_takes_a_window_shorter_than_the_stft_window(self):
+        gt, pred, *_ = noise_case(19, SR, 0.005, 0.1)
+        assert env_distance(gt, pred, window_s=0.005) == oracle_env_distance(
+            gt, pred, window_s=0.005) > 0
+
+    @pytest.mark.parametrize("metric", [evaluate, stft_distance, mag_distance])
+    def test_a_whole_signal_shorter_than_the_stft_window_is_named(self, metric):
+        gt = BinauralSignal(*np.ones((2, 399)), SR)
+        with pytest.raises(ValueError, match="^signal of 399 samples is too short for the "
+                           "400-sample STFT window at 16000 Hz$"):
+            metric(gt, gt, window_s=None)
+
+    def test_ground_truth_silent_in_every_window(self):
+        # it sounds only after the last window's end, sample 4800 + 10080
+        gt = np.zeros((2, SR))
+        gt[:, 15000:] = np.random.default_rng(20).normal(size=(2, SR - 15000))
+        pair = BinauralSignal(*gt, SR), BinauralSignal(*np.ones((2, SR)), SR)
+        with pytest.raises(metrics.SilentGroundTruthError,
+                           match="^ground truth is silent in every window; SNR is undefined$"):
+            evaluate(*pair)
+        assert snr(*pair) < 0  # the whole signal is not silent
+        with pytest.raises(metrics.SilentGroundTruthError, match="^ground truth is identically zero"):
+            snr(BinauralSignal(*np.zeros((2, SR)), SR), pair[1])
 
     def test_whole_signal_ignores_hop(self):
         gt, pred, *_ = noise_case(8, 4000, None, 0.1)

@@ -11,6 +11,7 @@ from binauralkit.spectral import (
     ComplexMask,
     Spectrogram,
     StftConfig,
+    _frames,
     _padded_window,
     _stft_bins,
     apply_mask,
@@ -174,6 +175,34 @@ class TestStft:
         combined = stft(mono(2.5 * x - 1.5 * y)).bins
         separate = 2.5 * stft(mono(x)).bins - 1.5 * stft(mono(y)).bins
         np.testing.assert_allclose(combined, separate, atol=1e-9)
+
+
+def reflect_map(cfg, n):
+    """The (frames, n_fft) sample indices that the centred STFT frames of an
+    n-sample signal read, by arithmetic rather than through `np.pad`, which
+    `stft` and `evaluate` share: frame t reads samples t*hop - n_fft//2 + j,
+    reflected once at the signal's ends, which suffices because
+    n_fft//2 < win_length <= n."""
+    taps = np.arange(cfg.frame_count(n))[:, None] * cfg.hop - cfg.n_fft // 2 + np.arange(cfg.n_fft)
+    return (n - 1) - np.abs(n - 1 - np.abs(taps))
+
+
+class TestFrames:
+    # 1.3 kHz has an odd 33-sample window; below 60 Hz the FFT is 1 point long
+    @pytest.mark.parametrize("sr", [8000, SR, 22050, 44100, 1300, 50, 59])
+    @pytest.mark.parametrize("length", ["win_length", "n_fft", "odd", "0.63 s"])
+    def test_frames_read_the_reflect_map(self, sr, length):
+        cfg = StftConfig(sr)
+        n = {"win_length": cfg.win_length, "n_fft": cfg.n_fft,
+             "odd": cfg.win_length + 2 * cfg.hop + 1 - cfg.win_length % 2,
+             "0.63 s": int(round(0.63 * sr))}[length]
+        taps = reflect_map(cfg, n)
+        assert taps.shape == (cfg.frame_count(n), cfg.n_fft)
+        np.testing.assert_array_equal(_frames(np.arange(n), cfg), taps)
+        x = np.random.default_rng(n).normal(size=(2, 3, n))
+        frames = _frames(x, cfg)
+        assert not frames.flags.writeable
+        np.testing.assert_array_equal(frames, x[..., taps])
 
 
 class TestRoundTrip:

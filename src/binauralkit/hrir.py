@@ -34,6 +34,11 @@ from .spherical import Direction
 
 SPEED_OF_SOUND = 343.0  # m/s
 CONTRA_LOWPASS_HZ = 6000.0  # far-ear low-pass corner of the synthetic pack
+# bounds of a synthetic pack, checked before it is built: a 1-degree ring,
+# tap gains within 10**(+-MAX_ILD_DB / 40), and 85 ms filters at 48 kHz
+MAX_AZIMUTHS = 360
+MAX_ILD_DB = 120.0
+MAX_FIR_TAPS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +115,33 @@ def synth_pack(
     split exactly) when that corner is below Nyquist, i.e. at a sample rate
     above 12 kHz; at 12 kHz and below it is left out.
     """
-    if n_azimuths < 2:
-        raise ValueError(f"n_azimuths must be at least 2, got {n_azimuths}")
-    if head_radius <= 0:
-        raise ValueError(f"head_radius must be positive, got {head_radius}")
-    if ild_db < 0:
-        raise ValueError(f"ild_db must be non-negative, got {ild_db}")
+    if not 2 <= n_azimuths <= MAX_AZIMUTHS:
+        raise ValueError(f"n_azimuths must be 2 to {MAX_AZIMUTHS}, got {n_azimuths}")
+    if not 0 < head_radius < math.inf:
+        raise ValueError(f"head_radius must be positive and finite, got {head_radius}")
+    if not 0 <= ild_db <= MAX_ILD_DB:
+        raise ValueError(f"ild_db must be 0 to {MAX_ILD_DB:g}, got {ild_db}")
     sample_rate = wavio.as_sample_rate(sample_rate)
 
     itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
-    base = int(math.ceil(itd_max * sample_rate / 2)) + 1
-    if CONTRA_LOWPASS_HZ < sample_rate / 2:
+    # clamped, so that a delay past any float still fails the length check
+    base = int(math.ceil(min(itd_max * sample_rate / 2, MAX_FIR_TAPS))) + 1
+    shadowed = CONTRA_LOWPASS_HZ < sample_rate / 2
+    if shadowed:
         pole = math.exp(-2 * math.pi * CONTRA_LOWPASS_HZ / sample_rate)
         n_tail = max(1, int(math.ceil(math.log(1e-12) / math.log(pole))))
-        lowpass = (1 - pole) * pole ** np.arange(n_tail)
-        lowpass /= lowpass.sum()
     else:
         n_tail = 1
-        lowpass = np.ones(1)
     n_taps = 2 * base + n_tail + 2
+    if n_taps > MAX_FIR_TAPS:
+        raise ValueError(
+            f"head_radius {head_radius} m at sample_rate {sample_rate} Hz needs filters "
+            f"longer than the {MAX_FIR_TAPS}-tap maximum"
+        )
+    lowpass = np.ones(1)
+    if shadowed:
+        lowpass = (1 - pole) * pole ** np.arange(n_tail)
+        lowpass /= lowpass.sum()
 
     entries = []
     for k in range(n_azimuths):

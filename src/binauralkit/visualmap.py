@@ -46,7 +46,7 @@ DEFAULT_FOV = FovConfig()
 
 def pixel_to_direction(u: float, v: float, cfg: FovConfig = DEFAULT_FOV) -> Direction:
     """Map a normalized pixel position to a sphere direction."""
-    if abs(u) > 1.0 or abs(v) > 1.0:
+    if not (abs(u) <= 1.0 and abs(v) <= 1.0):  # NaN fails too
         raise ValueError(f"pixel ({u}, {v}) outside the [-1, 1] image frame")
     return Direction(azimuth=-u * cfg.theta_v0, elevation=math.atan(v * cfg.vert_extent))
 

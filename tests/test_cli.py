@@ -7,10 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.io import wavfile
 
 import binauralkit
-from binauralkit import wavio
+from binauralkit import metrics, wavio
 from binauralkit.binaural import default_speaker_array
 from binauralkit.cli import main
 from binauralkit.hrir import load_pack, save_pack, synth_pack
@@ -115,6 +114,16 @@ class TestRender:
         rate, data = wavio.read_wav(out, channels=2)
         assert rate == 8000 and np.abs(data[:, 0]).max() > np.abs(data[:, 1]).max()
 
+    @pytest.mark.parametrize("decoder", ["hrir", "ambisonic-hrir"])
+    def test_minute_at_48_khz_renders_in_full(self, tmp_path, decoder):
+        tone = write_tone(tmp_path / "tone60.wav", seconds=60, sr=48000)
+        out = tmp_path / "out.wav"
+        assert main(["render", "--in", str(tone), "--out", str(out),
+                     "--decoder", decoder, "--azimuth-deg", "30"]) == 0
+        rate, data = wavio.read_wav(out, channels=2)
+        assert rate == 48000 and data.shape == (60 * 48000, 2)
+        assert np.isfinite(data).all()
+
 
 class TestHrirSynth:
     def test_writes_valid_pack(self, tmp_path, capsys):
@@ -130,6 +139,23 @@ class TestHrirSynth:
                      "--head-radius", "-1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--head-radius", "nan", "head_radius must be positive and finite, got nan"),
+        ("--head-radius", "inf", "head_radius must be positive and finite, got inf"),
+        ("--head-radius", "1e9", "head_radius 1000000000.0 m at sample_rate 16000 Hz needs "
+         "filters longer than the 4096-tap maximum"),
+        ("--ild-db", "inf", "ild_db must be 0 to 120, got inf"),
+        ("--ild-db", "nan", "ild_db must be 0 to 120, got nan"),
+        ("--ild-db", "1e300", "ild_db must be 0 to 120, got 1e+300"),
+        ("--n-azimuths", "361", "n_azimuths must be 2 to 360, got 361"),  # one past the maximum
+    ], ids=["head_radius-nan", "head_radius-inf", "head_radius-1e9", "ild_db-inf", "ild_db-nan",
+            "ild_db-1e300", "n_azimuths-361"])
+    def test_out_of_range_flag_is_named_before_work(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "pack"
+        assert main(["hrir-synth", "--out-dir", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_low_rate_pack_the_render_error_asks_for(self, tmp_path, capsys):
         tone = write_tone(tmp_path / "tone8k.wav", sr=8000)
@@ -226,6 +252,34 @@ class TestEval:
         assert report["windows"] == 4  # 0.63 s windows at a 0.1 s hop over 1 s
         assert report["config"]["stft"] == {"n_fft": n_fft, "win": win, "hop": hop}
         assert report["stft"] > 0.0 and 0.0 < report["d_phase"] < np.pi
+
+    @pytest.mark.parametrize("sr, seconds, flags", [
+        (22050, 2, ["--hop-s", "0.0371"]),
+        (44100, 1, []),
+        (SR, 1, ["--window-s", "0.03", "--hop-s", "0.01"]),
+    ])
+    def test_report_counts_and_scores_every_window(self, tmp_path, sr, seconds, flags):
+        rng = np.random.default_rng(sr)
+        gt, pred = (rng.normal(size=(seconds * sr, 2)) * 0.1 for _ in range(2))
+        wavio.write_wav(tmp_path / "gt.wav", sr, gt)
+        wavio.write_wav(tmp_path / "pred.wav", sr, pred)
+        report_path = tmp_path / "r.json"
+        assert main(["eval", "--gt", str(tmp_path / "gt.wav"), "--pred", str(tmp_path / "pred.wav"),
+                     "--report", str(report_path), *flags]) == 0
+        report = json.loads(report_path.read_text())
+        win = round(report["config"]["window_s"] * sr)
+        hop = round(report["config"]["hop_s"] * sr)
+        assert report["windows"] == (seconds * sr - win) // hop + 1
+        assert all(np.isfinite(report[k]) for k in ("stft", "env", "mag", "snr_db", "d_phase"))
+        _, gt = wavio.read_wav(tmp_path / "gt.wav", channels=2)
+        _, pred = wavio.read_wav(tmp_path / "pred.wav", channels=2)
+
+        def env_term(s):  # L2 distance of the Hilbert envelopes, summed over the ears
+            g, p = (np.abs(metrics.hilbert(x[s:s + win].T)) for x in (gt, pred))
+            return np.sqrt(np.sum((g - p) ** 2, axis=-1)).sum()
+
+        env = np.mean([env_term(s) for s in range(0, len(gt) - win + 1, hop)])
+        assert abs(env - report["env"]) <= 1e-12 * report["env"]
 
     def test_mono_input_names_the_file(self, tmp_path, capsys):
         mono, stereo = tmp_path / "mono.wav", tmp_path / "st.wav"
@@ -409,6 +463,22 @@ class TestDataset:
         )
         assert hashes_a == hashes_b
 
+    def test_saved_pack_reruns_identically_and_with_fewer_scenes(self, tmp_path):
+        assert main(["hrir-synth", "--out-dir", str(tmp_path / "pack")]) == 0
+        pool = self.make_pool(tmp_path, n=3)
+        for name in ("out", "again"):
+            config = self.write_config(tmp_path, pool, count=6, pack="pack", output_dir=name)
+            assert main(["dataset", "--config", str(config)]) == 0
+
+        def hashes(name):
+            return sorted((p.name, file_hash(p)) for p in (tmp_path / name).iterdir())
+
+        assert hashes("out") == hashes("again")
+        config = self.write_config(tmp_path, pool, count=2, pack="pack")
+        assert main(["dataset", "--config", str(config)]) == 0
+        assert len(list((tmp_path / "out").glob("scene_*.json"))) == 2
+        assert len(json.loads((tmp_path / "out" / "manifest.json").read_text())) == 2
+
     def test_degenerate_ratios_make_single_source_scenes(self, tmp_path):
         pool = self.make_pool(tmp_path)
         config = self.write_config(tmp_path, pool, ratios=[1.0, 0.0, 0.0])
@@ -487,6 +557,7 @@ class TestDataset:
     ])
     def test_bad_pool_clip_fails_before_work(self, tmp_path, capsys, rate, data, needle):
         pool = self.make_pool(tmp_path)
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(tmp_path / "odd.wav", rate, data.astype(np.float32))  # wavio refuses the NaN
         self.write_config(tmp_path, pool + ["odd.wav"])
         self.assert_fails_before_work(tmp_path, capsys, "pool clip 'odd.wav' in", needle)

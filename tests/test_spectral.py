@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import get_window
 
 from binauralkit.ambisonic import MonoSignal
 from binauralkit.spectral import (
@@ -46,6 +45,7 @@ class TestConfig:
     def test_window_is_periodic_hann(self):
         # bit-exact against the periodic Hann of scipy, 1-sample window included;
         # a rate of 40n - 20 Hz (50 Hz for n = 1) has an n-sample window
+        get_window = pytest.importorskip("scipy.signal").get_window
         for n in range(1, 1025):
             cfg = StftConfig(max(50, 40 * n - 20))
             assert cfg.win_length == n
@@ -56,6 +56,7 @@ class TestConfig:
             assert not padded[:off].any() and not padded[off + n :].any()
 
     def test_window_is_centered_in_the_frame(self):
+        get_window = pytest.importorskip("scipy.signal").get_window
         padded = _padded_window(DEFAULT_STFT)
         np.testing.assert_array_equal(padded[56:456], get_window("hann", 400, fftbins=True))
         assert not padded[:56].any() and not padded[456:].any()
@@ -136,6 +137,7 @@ class TestStft:
         interior = np.abs(spec.bins[:, 8:-8])
         assert np.all(np.argmax(interior, axis=0) == k)
         # windowed-DFT closed form: peak magnitude ~ sum(window)/2
+        get_window = pytest.importorskip("scipy.signal").get_window
         expected = get_window("hann", 400, fftbins=True).sum() / 2
         np.testing.assert_allclose(interior[k], expected, rtol=1e-2)
 

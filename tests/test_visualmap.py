@@ -80,6 +80,12 @@ class TestForwardMap:
         with pytest.raises(ValueError):
             pixel_to_direction(0.0, -1.01)
 
+    @pytest.mark.parametrize("u, v", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_pixel_is_outside_the_frame(self, u, v):
+        with pytest.raises(ValueError) as info:
+            pixel_to_direction(u, v)
+        assert str(info.value) == f"pixel ({u}, {v}) outside the [-1, 1] image frame"
+
     def test_azimuth_strictly_decreasing_in_u(self):
         us = np.linspace(-1, 1, 21)
         azimuths = [pixel_to_direction(u, 0.0).azimuth for u in us]

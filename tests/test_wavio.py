@@ -4,6 +4,8 @@ The writer must give scipy's bytes for float32 and pcm16. The reader must
 give the values the scipy-based reader gave (`scipy_read_wav` below, kept
 as the reference) for every format it read, and must reject truncated,
 malformed and unsupported files with a ValueError that names the path.
+A test that needs scipy, as the oracle or to write a file wavio refuses,
+skips where scipy is not installed.
 """
 
 import re
@@ -14,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.io import wavfile
 
 from binauralkit import wavio
 from binauralkit.cli import main
@@ -28,6 +29,7 @@ GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 def scipy_read_wav(path):
     """The scipy-based reader `wavio.read_wav` replaced: scaled float64 data."""
+    wavfile = pytest.importorskip("scipy.io.wavfile")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sample_rate, data = wavfile.read(path)
@@ -86,12 +88,14 @@ class TestWriterMatchesScipy:
             stored = data.astype(np.float32)
         else:
             stored = np.round(np.clip(data, -1.0, 1.0) * 32767.0).astype(np.int16)
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(tmp_path / "scipy.wav", SR, stored)
         wavio.write_wav(tmp_path / "ours.wav", SR, data, fmt=fmt)
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
     def test_column_slices_are_written_in_frame_order(self, tmp_path):
         data = np.arange(12.0).reshape(3, 4).T / 16  # a Fortran-ordered (4, 3) view
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(tmp_path / "scipy.wav", SR, data.astype(np.float32))
         wavio.write_wav(tmp_path / "ours.wav", SR, data)
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
@@ -141,6 +145,7 @@ class TestReaderMatchesScipy:
     @pytest.mark.parametrize("encoding", ["u1", "i2", "i4", "f4", "f8"])
     def test_scipy_written(self, tmp_path, encoding, n, channels):
         path = tmp_path / "x.wav"
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(path, SR, as_written(samples(encoding, n, channels)))
         self.check(path, channels)
 
@@ -272,6 +277,7 @@ class TestNonFiniteSamples:
     ], ids=["mono", "stereo"])
     def test_reader_names_the_first_bad_frame(self, tmp_path, dtype, data, frame):
         path = tmp_path / "x.wav"
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(path, SR, np.array(data, dtype=dtype))  # wavio refuses to write it
         with pytest.raises(ValueError) as info:
             wavio.read_wav(path)
@@ -279,6 +285,7 @@ class TestNonFiniteSamples:
 
     def test_render_of_a_non_finite_input_fails_by_name(self, tmp_path, capsys):
         path = tmp_path / "nan.wav"
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(path, SR, np.array([0.1, np.nan, 0.2] * 1000, dtype=np.float32))
         code = main(["render", "--in", str(path), "--out", str(tmp_path / "out.wav"),
                      "--azimuth-deg", "30"])
@@ -292,6 +299,7 @@ class TestNonFiniteSamples:
         data = np.random.default_rng(3).normal(size=(SR, 2)) * 0.1
         wavio.write_wav(good, SR, data)
         data[7, 1] = np.nan
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(nan, SR, data.astype(np.float32))
         files = {"--gt": good, "--pred": good, bad: nan}
         code = main(["eval", "--gt", str(files["--gt"]), "--pred", str(files["--pred"])])
@@ -316,6 +324,7 @@ class TestRejected:
 
     def test_int64_pcm(self, tmp_path):
         path = tmp_path / "wide.wav"
+        wavfile = pytest.importorskip("scipy.io.wavfile")
         wavfile.write(path, SR, np.arange(4, dtype=np.int64) << 40)
         self.read_fails(path, "64-bit integer PCM")
 

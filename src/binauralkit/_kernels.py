@@ -12,25 +12,20 @@ share.
 import numpy as np
 
 
-def overlap_add(frames: np.ndarray, window: np.ndarray, hop: int, out_len: int):
+def overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
     """Accumulate windowed frames and the squared-window envelope.
 
-    Frame t starts at sample t * hop. Each frame is cut into pieces of hop
-    samples, and piece k of every frame is added at once through a
-    (frames, hop) view of the output, from the last piece to the first:
-    so each sample adds its frames in ascending order, as a loop over the
-    frames would.
+    Frame t starts at sample t * hop, so both sums span the
+    max((frames - 1) * hop + frame length, 0) samples the frames cover.
+    Each frame is cut into pieces of hop samples, and piece k of every
+    frame is added at once through a (frames, hop) view of the output,
+    from the last piece to the first: so each sample adds its frames in
+    ascending order, as a loop over the frames would.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    window = np.asarray(window, dtype=np.float64)
-    hop, out_len = int(hop), int(out_len)
     count, length = frames.shape
     pieces = -(-length // hop)
-    if count and out_len < (count - 1) * hop + length:
-        raise ValueError(f"{count} frames of {length} samples at hop {hop} "
-                         f"overrun {out_len} output samples")
     # room for whole pieces past the last frame's end; cut off on return
-    size = max(out_len, (count + pieces - 1) * hop)
+    size = (count + pieces - 1) * hop
     acc = np.zeros(size)
     wsq = np.zeros(size)
     wsq_frame = window * window
@@ -40,7 +35,8 @@ def overlap_add(frames: np.ndarray, window: np.ndarray, hop: int, out_len: int):
         span = slice(k * hop, (k + count) * hop)  # row t: where piece k of frame t lands
         acc[span].reshape(count, hop)[:, :width] += frames[:, cols] * window[cols]
         wsq[span].reshape(count, hop)[:, :width] += wsq_frame[cols]
-    return acc[:out_len], wsq[:out_len]
+    covered = max((count - 1) * hop + length, 0)
+    return acc[:covered], wsq[:covered]
 
 
 def sum_contributions(contribs: np.ndarray) -> np.ndarray:
@@ -61,6 +57,4 @@ def abs_phase_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def phase_mean_abs(a: np.ndarray, b: np.ndarray) -> float:
     """Mean |wrapped phase(a) - phase(b)| over all bins; zero bins count as phase 0."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
     return float(np.mean(abs_phase_diff(a, b)))

@@ -39,6 +39,7 @@ CONTRA_LOWPASS_HZ = 6000.0  # far-ear low-pass corner of the synthetic pack
 MAX_AZIMUTHS = 360
 MAX_ILD_DB = 120.0
 MAX_FIR_TAPS = 4096
+MAX_SAMPLE_RATE = 0xFFFFFFFF  # the 32-bit rate field of the pack's WAV headers
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +118,16 @@ def synth_pack(
     """
     if not 2 <= n_azimuths <= MAX_AZIMUTHS:
         raise ValueError(f"n_azimuths must be 2 to {MAX_AZIMUTHS}, got {n_azimuths}")
+    if n_azimuths != int(n_azimuths):
+        raise ValueError(f"n_azimuths must be whole, got {n_azimuths}")
     if not 0 < head_radius < math.inf:
         raise ValueError(f"head_radius must be positive and finite, got {head_radius}")
     if not 0 <= ild_db <= MAX_ILD_DB:
         raise ValueError(f"ild_db must be 0 to {MAX_ILD_DB:g}, got {ild_db}")
     sample_rate = wavio.as_sample_rate(sample_rate)
+    if sample_rate > MAX_SAMPLE_RATE:
+        raise ValueError(f"sample_rate must be at most {MAX_SAMPLE_RATE} Hz, the largest "
+                         f"a WAV header holds, got {sample_rate}")
 
     itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
     # clamped, so that a delay past any float still fails the length check
@@ -144,7 +150,7 @@ def synth_pack(
         lowpass /= lowpass.sum()
 
     entries = []
-    for k in range(n_azimuths):
+    for k in range(int(n_azimuths)):
         az = 2 * math.pi * k / n_azimuths
         direction = Direction(az, 0.0)
         # lateral angle toward the left ear; symmetric front/back

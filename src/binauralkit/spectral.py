@@ -156,14 +156,11 @@ def _stft_bins(x: np.ndarray, sample_rate: int) -> np.ndarray:
 def istft(spec: Spectrogram) -> MonoSignal:
     """Overlap-add inverse with squared-window normalization."""
     cfg = spec.config
-    n_frames = spec.bins.shape[1]
     frames = np.fft.irfft(spec.bins.T, cfg.n_fft, axis=1)
-    total = cfg.n_fft + (n_frames - 1) * cfg.hop
-    acc, wsq = overlap_add(frames, _padded_window(cfg), cfg.hop, total)
-    good = wsq > NOLA_TOL
-    acc[good] /= wsq[good]
+    acc, wsq = overlap_add(frames, _padded_window(cfg), cfg.hop)
+    np.divide(acc, wsq, out=acc, where=wsq > NOLA_TOL)
     pad = cfg.n_fft // 2
-    n = spec.n_samples if spec.n_samples is not None else max(total - 2 * pad, 0)
+    n = spec.n_samples if spec.n_samples is not None else max(len(acc) - 2 * pad, 0)
     return MonoSignal(acc[pad : pad + n], cfg.sample_rate)
 
 
@@ -220,8 +217,8 @@ def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> 
     _check_same_config(spec_d.config, spec_m.config)
     if spec_d.shape != spec_m.shape:
         raise ValueError(f"shapes differ: {spec_d.shape} vs {spec_m.shape}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     denom = np.abs(spec_m.bins) ** 2 + eps
     return ComplexMask(spec_d.bins * np.conj(spec_m.bins) / denom)
 

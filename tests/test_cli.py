@@ -149,8 +149,14 @@ class TestHrirSynth:
         ("--ild-db", "nan", "ild_db must be 0 to 120, got nan"),
         ("--ild-db", "1e300", "ild_db must be 0 to 120, got 1e+300"),
         ("--n-azimuths", "361", "n_azimuths must be 2 to 360, got 361"),  # one past the maximum
+        # one past the WAV header's 32-bit rate field, and rates at which the
+        # low-pass pole rounds to 1.0 or no float holds the rate
+        *(("--sample-rate", rate, "sample_rate must be at most 4294967295 Hz, the largest "
+           f"a WAV header holds, got {rate}") for rate in ("4294967296", "5000000000",
+                                                          "1" + "0" * 21, "1" + "0" * 400)),
     ], ids=["head_radius-nan", "head_radius-inf", "head_radius-1e9", "ild_db-inf", "ild_db-nan",
-            "ild_db-1e300", "n_azimuths-361"])
+            "ild_db-1e300", "n_azimuths-361", "sample_rate-2**32", "sample_rate-5e9",
+            "sample_rate-1e21", "sample_rate-1e400"])
     def test_out_of_range_flag_is_named_before_work(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "pack"
         assert main(["hrir-synth", "--out-dir", str(out), flag, value]) == 1

@@ -179,6 +179,32 @@ class TestSynthPack:
         with pytest.raises(ValueError, match="sample_rate must be positive and whole"):
             synth_pack(sample_rate=sample_rate)
 
+    @pytest.mark.parametrize("sample_rate", [2**32, 10**21, 10**400], ids=["2**32", "1e21", "1e400"])
+    def test_rate_past_the_wav_header_field_is_named(self, sample_rate):
+        with pytest.raises(ValueError) as info:
+            synth_pack(sample_rate=sample_rate)
+        assert str(info.value) == ("sample_rate must be at most 4294967295 Hz, the largest a "
+                                   f"WAV header holds, got {sample_rate}")
+
+    def test_largest_wav_rate_passes_its_own_check(self):
+        # its far-ear low-pass tail then outgrows the filter-length maximum
+        with pytest.raises(ValueError, match="at sample_rate 4294967295 Hz needs filters"):
+            synth_pack(sample_rate=2**32 - 1)
+
+    @pytest.mark.parametrize("n_azimuths", [24.5, 2.000001])
+    def test_azimuth_count_must_be_whole(self, n_azimuths):
+        with pytest.raises(ValueError) as info:
+            synth_pack(n_azimuths=n_azimuths)
+        assert str(info.value) == f"n_azimuths must be whole, got {n_azimuths}"
+
+    def test_whole_float_azimuth_count_gives_the_int_pack(self):
+        a, b = synth_pack(n_azimuths=8.0), synth_pack(n_azimuths=8)
+        assert len(a.entries) == len(b.entries) == 8
+        for ea, eb in zip(a.entries, b.entries):
+            assert ea.direction.azimuth == eb.direction.azimuth
+            np.testing.assert_array_equal(ea.left_fir, eb.left_fir)
+            np.testing.assert_array_equal(ea.right_fir, eb.right_fir)
+
     def test_lowpass_corner_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             synth_pack(contra_lowpass_hz=3000.0)

@@ -207,7 +207,53 @@ class TestFrames:
         np.testing.assert_array_equal(frames, x[..., taps])
 
 
+def istft_reference(spec):
+    """The inverse as a frame loop: each windowed frame and its squared window
+    added into n_fft + (frames - 1) * hop samples, then divided where the
+    envelope clears NOLA_TOL."""
+    cfg = spec.config
+    n_frames = spec.bins.shape[1]
+    frames = np.fft.irfft(spec.bins.T, cfg.n_fft, axis=1)
+    window = _padded_window(cfg)
+    total = cfg.n_fft + (n_frames - 1) * cfg.hop
+    acc = np.zeros(total)
+    wsq = np.zeros(total)
+    for t in range(n_frames):
+        acc[t * cfg.hop : t * cfg.hop + cfg.n_fft] += frames[t] * window
+        wsq[t * cfg.hop : t * cfg.hop + cfg.n_fft] += window * window
+    good = wsq > NOLA_TOL
+    acc[good] /= wsq[good]
+    pad = cfg.n_fft // 2
+    n = spec.n_samples if spec.n_samples is not None else max(total - 2 * pad, 0)
+    return acc[pad : pad + n]
+
+
 class TestRoundTrip:
+    # 1.3 kHz has an odd 33-sample window; below 60 Hz the FFT is 1 point long
+    @pytest.mark.parametrize("sr", [50, 59, 1300, 8000, SR, 22050, 44100, 48000])
+    @pytest.mark.parametrize("seconds", [0.0, 0.05, 0.63, 1.0, 10.0])  # 0.0: the STFT window
+    @pytest.mark.parametrize("keep_length", [True, False])
+    def test_istft_bytes_equal_the_frame_loop(self, sr, seconds, keep_length):
+        cfg = StftConfig(sr)
+        n = max(int(seconds * sr), cfg.win_length)
+        rng = np.random.default_rng([sr, n])
+        spec = stft(MonoSignal(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), sr))
+        if not keep_length:
+            spec = Spectrogram(spec.bins, cfg)
+        got = istft(spec).samples
+        want = istft_reference(spec)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sr", [50, SR, 1300])
+    def test_zero_frames_give_the_frame_loop_length(self, sr):
+        cfg = StftConfig(sr)
+        spec = Spectrogram(np.zeros((cfg.n_bins, 0)), cfg)
+        assert istft(spec).samples.tobytes() == istft_reference(spec).tobytes()
+        if cfg.n_fft == 1:  # only the unpadded 1-point FFT has a length with no frame
+            zero = Spectrogram(spec.bins, cfg, n_samples=0)
+            assert istft(zero).n_samples == istft_reference(zero).size == 0
+
     @pytest.mark.parametrize("n", [1000, 10080, 16000, 48000])
     def test_istft_inverts_stft(self, n):
         rng = np.random.default_rng(n)
@@ -359,6 +405,13 @@ class TestOracleMask:
         spec = rand_spec(rng)
         with pytest.raises(ValueError):
             oracle_mask(spec, spec, eps=0.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_is_named(self, eps):
+        spec = rand_spec(np.random.default_rng(18))
+        with pytest.raises(ValueError) as info:
+            oracle_mask(spec, spec, eps=eps)
+        assert str(info.value) == f"eps must be positive and finite, got {eps}"
 
 
 class TestMixedRates:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +66,10 @@ class _Signal:
         return sig
 
     @classmethod
-    def _channels(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.init and f.name != "sample_rate"]
+    @cache
+    def _channels(cls) -> tuple[str, ...]:
+        """The channel field names, worked out once per class."""
+        return tuple(f.name for f in fields(cls) if f.init and f.name != "sample_rate")
 
     def _store(self, data: np.ndarray) -> None:
         """Check `data` and the rate, then keep `data` read-only with a row view per channel."""

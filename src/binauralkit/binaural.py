@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import wavio
 from .ambisonic import BFormat, MonoSignal, _Signal
@@ -96,22 +96,38 @@ def decode_wy(b: BFormat) -> BinauralSignal:
 
 def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
     """y[e] = sum_c x[c] * firs[e, c] (linear convolution) trimmed to the first
-    n samples: a (C, n) block and (E, C, taps) filters give (E, n). Overlap-save
-    at the smallest power of two >= 16 * taps and >= 512, each block after the
-    taps - 1 samples before it (zeros before x), so whole-block prefixes render
-    bitwise alike; `_CHUNK` input samples per pass keep the temporaries flat in n."""
+    n samples: a (C, n) block and (E, C, taps) filters give (E, n); a ValueError
+    if their channel counts differ. Overlap-save at the smallest power of two
+    >= 16 * taps and >= 512, each block after the taps - 1 samples before it
+    (zeros before x), so whole-block prefixes render bitwise alike. `_CHUNK`
+    input samples per pass keep the temporaries flat in n. A pass frames its
+    blocks as a read-only strided view, of x itself unless they reach before
+    or past it, sums the channels of each bin by a broadcast product, and
+    writes whole blocks straight into a view of the output."""
+    x = np.asarray(x, dtype=np.float64)  # blocks viewed in x transform as the padded ones do
+    if len(x) != firs.shape[1]:
+        raise ValueError(f"a {len(x)}-channel block needs filters over {len(x)} channels, "
+                         f"got filters over {firs.shape[1]}")
     n, hist = x.shape[-1], firs.shape[-1] - 1
     n_fft = max(512, 1 << (16 * firs.shape[-1] - 1).bit_length())
     step = n_fft - hist  # new samples per block
     chunk = max(1, _CHUNK // step) * step
-    spectrum, out = np.fft.rfft(firs, n_fft), np.empty((len(firs), n))
+    spectrum, out = np.fft.rfft(firs, n_fft)[:, :, None], np.empty((len(firs), n))
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        seg = np.zeros((len(x), hist + -(-m // step) * step))  # x from start - hist, zero-padded
-        seg[:, max(hist - start, 0) : hist + m] = x[:, max(start - hist, 0) : start + m]
-        blocks = np.fft.rfft(sliding_window_view(seg, n_fft, axis=-1)[:, ::step])
-        y = np.fft.irfft(np.einsum("ecf,cbf->ebf", spectrum, blocks), n_fft)
-        out[:, start : start + m] = y[..., hist:].reshape(len(out), -1)[:, :m]
+        count = -(-m // step)  # blocks in this pass
+        if hist <= start and start + count * step <= n:
+            src = x[:, start - hist :]
+        else:  # x from start - hist, zero-padded
+            src = np.zeros((len(x), hist + count * step))
+            src[:, max(hist - start, 0) : hist + m] = x[:, max(start - hist, 0) : start + m]
+        s0, s1 = src.strides
+        blocks = as_strided(src, (len(x), count, n_fft), (s0, step * s1, s1), writeable=False)
+        y = np.fft.irfft((spectrum * np.fft.rfft(blocks)).sum(axis=1), n_fft)[..., hist:]
+        if m == count * step:  # a view: the rows of out are contiguous
+            out[:, start : start + m].reshape(len(out), count, step)[...] = y
+        else:
+            out[:, start : start + m] = y.reshape(len(out), -1)[:, :m]
     return out
 
 

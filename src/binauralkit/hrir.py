@@ -129,15 +129,20 @@ def synth_pack(
         raise ValueError(f"sample_rate must be at most {MAX_SAMPLE_RATE} Hz, the largest "
                          f"a WAV header holds, got {sample_rate}")
 
-    itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
-    # clamped, so that a delay past any float still fails the length check
-    base = int(math.ceil(min(itd_max * sample_rate / 2, MAX_FIR_TAPS))) + 1
     shadowed = CONTRA_LOWPASS_HZ < sample_rate / 2
     if shadowed:
         pole = math.exp(-2 * math.pi * CONTRA_LOWPASS_HZ / sample_rate)
         n_tail = max(1, int(math.ceil(math.log(1e-12) / math.log(pole))))
     else:
         n_tail = 1
+    if n_tail + 4 > MAX_FIR_TAPS:  # the length at the shortest delay, base = 1
+        raise ValueError(
+            f"the {n_tail}-tap far-ear low-pass tail at sample_rate {sample_rate} Hz needs "
+            f"filters longer than the {MAX_FIR_TAPS}-tap maximum at any head_radius"
+        )
+    itd_max = head_radius / SPEED_OF_SOUND * (math.pi / 2 + 1.0)
+    # clamped, so that a delay past any float still fails the length check
+    base = int(math.ceil(min(itd_max * sample_rate / 2, MAX_FIR_TAPS))) + 1
     n_taps = 2 * base + n_tail + 2
     if n_taps > MAX_FIR_TAPS:
         raise ValueError(

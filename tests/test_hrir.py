@@ -7,6 +7,7 @@ import pytest
 from binauralkit import wavio
 from binauralkit.cli import main
 from binauralkit.hrir import (
+    MAX_FIR_TAPS,
     HrirEntry,
     HrirPack,
     great_circle,
@@ -190,6 +191,25 @@ class TestSynthPack:
         # its far-ear low-pass tail then outgrows the filter-length maximum
         with pytest.raises(ValueError, match="at sample_rate 4294967295 Hz needs filters"):
             synth_pack(sample_rate=2**32 - 1)
+
+    def test_tail_past_the_tap_maximum_names_sample_rate(self):
+        # the far-ear tail alone is too long at 6 MHz, whatever the radius
+        with pytest.raises(ValueError) as info:
+            synth_pack(sample_rate=6_000_000, head_radius=1e-6)
+        assert str(info.value) == ("the 4398-tap far-ear low-pass tail at sample_rate 6000000 Hz "
+                                   "needs filters longer than the 4096-tap maximum at any head_radius")
+        # the bound is exact: with the one-sample base delay of the smallest
+        # radius, 4092 tail taps fit and 4093 do not
+        pack = synth_pack(n_azimuths=2, head_radius=5e-324, sample_rate=5_583_000)
+        assert len(pack.entries[0].left_fir) == MAX_FIR_TAPS
+        with pytest.raises(ValueError, match="the 4093-tap far-ear low-pass tail at sample_rate"):
+            synth_pack(n_azimuths=2, head_radius=5e-324, sample_rate=5_584_000)
+
+    def test_radius_past_the_tap_maximum_names_head_radius(self):
+        with pytest.raises(ValueError) as info:
+            synth_pack(sample_rate=48000, head_radius=20.0)
+        assert str(info.value) == ("head_radius 20.0 m at sample_rate 48000 Hz needs filters "
+                                   "longer than the 4096-tap maximum")
 
     @pytest.mark.parametrize("n_azimuths", [24.5, 2.000001])
     def test_azimuth_count_must_be_whole(self, n_azimuths):

@@ -11,7 +11,9 @@ the whole transform, so it follows that scale and not the size of each
 output sample.
 
 `fft_convolve` runs overlap-save in fixed blocks; `whole_clip_convolve`,
-the whole-clip transform it replaced, stays here as a second oracle.
+the whole-clip transform it replaced, stays here as a second oracle, and
+`einsum_block_convolve`, the same blocks framed from a zero-padded copy of
+each pass and summed over channels by `np.einsum`, as a third.
 """
 
 import bisect
@@ -19,9 +21,12 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from binauralkit import binaural
 from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.binaural import (
     _CHUNK,
@@ -70,6 +75,25 @@ def whole_clip_convolve(x, firs):
     n_fft = _smooth_length(n + firs.shape[-1] - 1)
     spectrum = np.einsum("ecf,cf->ef", np.fft.rfft(firs, n_fft), np.fft.rfft(x, n_fft))
     return np.fft.irfft(spectrum, n_fft)[:, :n]
+
+
+def einsum_block_convolve(x, firs):
+    """Oracle: `fft_convolve`'s blocks, each pass copied into a zero-padded
+    buffer, framed by `sliding_window_view` and summed over channels by
+    `np.einsum`."""
+    n, hist = x.shape[-1], firs.shape[-1] - 1
+    n_fft = max(512, 1 << (16 * firs.shape[-1] - 1).bit_length())
+    step = n_fft - hist
+    chunk = max(1, _CHUNK // step) * step
+    spectrum, out = np.fft.rfft(firs, n_fft), np.empty((len(firs), n))
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        seg = np.zeros((len(x), hist + -(-m // step) * step))
+        seg[:, max(hist - start, 0) : hist + m] = x[:, max(start - hist, 0) : start + m]
+        blocks = np.fft.rfft(sliding_window_view(seg, n_fft, axis=-1)[:, ::step])
+        y = np.fft.irfft(np.einsum("ecf,cbf->ebf", spectrum, blocks), n_fft)
+        out[:, start : start + m] = y[..., hist:].reshape(len(out), -1)[:, :m]
+    return out
 
 
 def block_step(taps):
@@ -298,6 +322,7 @@ class TestFftConvolve:
         got = fft_convolve(x, firs)
         assert got.shape == (2, n)
         assert_close_to_scale(got, whole_clip_convolve(x, firs), x, firs)
+        assert_close_to_scale(got, einsum_block_convolve(x, firs), x, firs)
         want = [sum(np.convolve(x[c], firs[e, c, : (taps, short)[e]])[:n] for c in range(channels))
                 for e in range(2)]
         assert_close_to_scale(got, want, x, firs)
@@ -312,6 +337,56 @@ class TestFftConvolve:
             prefix = BFormat(*b.data[:, : k * step], sample_rate=b.sample_rate)
             got = render_ambisonic_hrir(prefix, arr, pack).data
             np.testing.assert_array_equal(got, full[:, : k * step])
+
+    @pytest.mark.parametrize("taps", [1, 28, 200])
+    @pytest.mark.parametrize("blocks", [1, 3, "default", "past n"])
+    def test_bytes_do_not_depend_on_the_pass_length(self, monkeypatch, taps, blocks):
+        rng = np.random.default_rng(taps)
+        n = 2 * _CHUNK + 301
+        x, firs = rng.normal(size=(4, n)), rng.normal(size=(2, 4, taps))
+        want = fft_convolve(x, firs)
+        chunk = {"default": _CHUNK, "past n": n + 1}.get(blocks, blocks * block_step(taps))
+        monkeypatch.setattr(binaural, "_CHUNK", chunk)
+        np.testing.assert_array_equal(fft_convolve(x, firs), want)
+
+    @pytest.mark.parametrize("layout", ["C", "every other", "Fortran", "reversed", "transposed"])
+    @pytest.mark.parametrize("taps", [1, 28, 200])
+    def test_bytes_do_not_depend_on_the_layout_of_x(self, layout, taps):
+        # the middle passes frame their blocks from x itself, through its strides
+        rng = np.random.default_rng(taps)
+        x = rng.normal(size=(4, 3 * _CHUNK + 301))
+        firs = rng.normal(size=(2, 4, taps))
+        if layout == "every other":
+            wide = np.zeros((4, 2 * x.shape[1]))
+            wide[:, ::2] = x
+            view = wide[:, ::2]
+        else:
+            view = {
+                "C": x,
+                "Fortran": np.asfortranarray(x),
+                "reversed": x[::-1, ::-1].copy()[::-1, ::-1],
+                "transposed": x.T.copy().T,
+            }[layout]
+        np.testing.assert_array_equal(view, x)
+        np.testing.assert_array_equal(fft_convolve(view, firs), fft_convolve(x, firs))
+
+    def test_float32_block_renders_as_its_float64_copy(self):
+        # blocks viewed in x and blocks copied into the zero-padded buffer
+        # must transform at one precision
+        x = np.random.default_rng(3).normal(size=(4, 3 * _CHUNK + 301)).astype(np.float32)
+        firs = _ear_filters(default_speaker_array(), synth_pack())
+        np.testing.assert_array_equal(fft_convolve(x, firs), fft_convolve(x.astype(np.float64), firs))
+
+    @pytest.mark.parametrize("channels, filter_channels", [(4, 1), (1, 4)])
+    def test_channel_counts_must_match(self, channels, filter_channels):
+        # a size-1 axis would broadcast: one filter over all four channels,
+        # or four filters summed over one channel
+        x = np.ones((channels, 600))
+        firs = np.ones((2, filter_channels, 28))
+        with pytest.raises(ValueError) as info:
+            fft_convolve(x, firs)
+        assert str(info.value) == (f"a {channels}-channel block needs filters over {channels} "
+                                   f"channels, got filters over {filter_channels}")
 
     def test_temporaries_do_not_grow_with_length(self):
         # a (4, 60 s) block at 16 kHz: only the (2, n) result may scale with n

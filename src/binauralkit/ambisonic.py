@@ -92,6 +92,14 @@ class _Signal:
         return self.data.shape[1]
 
 
+def _check_pair(a: _Signal, b: _Signal) -> None:
+    """Reject two signals whose lengths or sample rates differ."""
+    if a.n_samples != b.n_samples:
+        raise ValueError(f"signal lengths differ: {a.n_samples} vs {b.n_samples}")
+    if a.sample_rate != b.sample_rate:
+        raise ValueError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
+
+
 @dataclass(frozen=True, eq=False)
 class MonoSignal(_Signal):
     """A single-channel signal with its sample rate."""

@@ -38,15 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import abs_phase_diff, phase_mean_abs
-from .ambisonic import seconds_to_samples
+from .ambisonic import MonoSignal, _check_pair, seconds_to_samples
 from .binaural import BinauralSignal
 from .spectral import (
     Spectrogram,
     StftConfig,
-    _check_same_config,
+    _check_operands,
+    _finite,
     _frames,
     _padded_window,
     _stft_bins,
+    stft,
 )
 
 DEFAULT_WINDOW_S = 0.63
@@ -91,13 +93,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _check_pair(gt: BinauralSignal, pred: BinauralSignal) -> None:
-    if gt.n_samples != pred.n_samples:
-        raise ValueError(f"signal lengths differ: {gt.n_samples} vs {pred.n_samples}")
-    if gt.sample_rate != pred.sample_rate:
-        raise ValueError(f"sample rates differ: {gt.sample_rate} vs {pred.sample_rate}")
 
 
 def _window_starts(gt: BinauralSignal, pred: BinauralSignal, window_s: float | None,
@@ -203,14 +198,6 @@ def hilbert(x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spec, n, axis=-1)
 
 
-def _finite(name: str, value) -> float:
-    """`value` as a float, or a ValueError naming the metric when it is not
-    finite: finite samples whose squares or spectra overflow."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} is {value}: the pair's samples are too large to score")
-    return float(value)
-
-
 def _snr_db(gt_l, gt_r, pd_l, pd_r) -> float | None:
     signal = np.sum(gt_l**2) + np.sum(gt_r**2)
     if signal == 0.0:
@@ -267,13 +254,9 @@ def snr(gt: BinauralSignal, pred: BinauralSignal) -> float:
 def d_phase(gt: BinauralSignal, pred_diff_spec: Spectrogram) -> float:
     """Mean |principal-value phase difference| between a predicted l-r
     spectrogram and the ground truth's, which must share its sample rate."""
-    _check_same_config(StftConfig(gt.sample_rate), pred_diff_spec.config)
-    gt_diff = _spectra(gt.left - gt.right, gt.sample_rate)
-    if gt_diff.shape != pred_diff_spec.shape:
-        raise ValueError(
-            f"shape mismatch: gt diff {gt_diff.shape} vs prediction {pred_diff_spec.shape}"
-        )
-    return phase_mean_abs(gt_diff, pred_diff_spec.bins)
+    gt_diff = stft(MonoSignal(gt.left - gt.right, gt.sample_rate))
+    _check_operands(gt_diff=gt_diff, pred_diff_spec=pred_diff_spec)
+    return phase_mean_abs(gt_diff.bins, pred_diff_spec.bins)
 
 
 def _frame_sums(gt: BinauralSignal, pred: BinauralSignal, cfg: StftConfig,

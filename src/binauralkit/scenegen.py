@@ -60,6 +60,13 @@ class SceneSource:
         object.__setattr__(self, "placement", (float(u), float(v)))
 
 
+def _check_seed(seed) -> int:
+    """`seed` as an int, or a ValueError naming it unless it fits a uint64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     sources: tuple[SceneSource, ...]
@@ -74,8 +81,7 @@ class SceneSpec:
         if not 1 <= len(self.sources) <= MAX_SOURCES:
             raise ValueError(f"scenes hold 1..{MAX_SOURCES} sources, got {len(self.sources)}")
         seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +218,9 @@ def sample_scene(
     """Draw a random scene: K ~ ratios over {1,2,3}, K distinct clips,
     uniform in-frame placements, uniform gains. Deterministic in the seed."""
     ratios = _check_sampling(pool, ratios, gain_range)
+    seed = _check_seed(rng_seed)  # before numpy's own check, which names nothing
     lo, hi = gain_range
-    rng = np.random.default_rng(int(rng_seed))
+    rng = np.random.default_rng(seed)
     k = int(rng.choice(3, p=ratios / ratios.sum())) + 1
     picks = rng.choice(len(pool), size=k, replace=False)
     sources = []
@@ -222,7 +229,7 @@ def sample_scene(
         v = rng.uniform(-1.0, 1.0)
         gain = rng.uniform(lo, hi)
         sources.append(SceneSource(audio_ref=pool[int(idx)], placement=(u, v), gain=gain))
-    return SceneSpec(tuple(sources), fov, int(rng_seed), sample_rate, duration_s)
+    return SceneSpec(tuple(sources), fov, seed, sample_rate, duration_s)
 
 
 def make_separation_pair(

@@ -13,6 +13,7 @@ squared window covers each sample by at least NOLA_TOL).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import overlap_add
-from .ambisonic import MonoSignal
+from .ambisonic import MonoSignal, _check_pair
 from .binaural import BinauralSignal
 from .wavio import as_sample_rate
 
@@ -79,6 +80,16 @@ def _padded_window(cfg: StftConfig) -> np.ndarray:
 DEFAULT_STFT = StftConfig(16000)
 
 
+def _bins(value, what: str) -> np.ndarray:
+    """`value` as a complex128 matrix; a ValueError naming `what` unless 2-D and finite."""
+    arr = np.asarray(value, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ValueError(f"{what} must be 2-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite bins")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrogram:
     """Complex time-frequency matrix, n_fft/2+1 rows by T columns; a given
@@ -89,19 +100,17 @@ class Spectrogram:
     n_samples: int | None = None  # source length, kept for exact inversion
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"spectrogram must be 2-D, got shape {arr.shape}")
+        arr = _bins(self.bins, "spectrogram")
         if arr.shape[0] != self.config.n_bins:
-            raise ValueError(
-                f"expected {self.config.n_bins} frequency rows, got {arr.shape[0]}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("spectrogram contains non-finite bins")
+            raise ValueError(f"expected {self.config.n_bins} frequency rows, got {arr.shape[0]}")
         n = self.n_samples
-        if n is not None and (n < 0 or self.config.frame_count(n) != arr.shape[1]):
-            raise ValueError(f"n_samples {n} is not a length whose STFT has the "
-                             f"spectrogram's {arr.shape[1]} frames")
+        if n is not None:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"n_samples must be an integer, got {n!r}")
+            if n < 0 or self.config.frame_count(n) != arr.shape[1]:
+                raise ValueError(f"n_samples {n} is not a length whose STFT has the "
+                                 f"spectrogram's {arr.shape[1]} frames")
+            object.__setattr__(self, "n_samples", int(n))
         object.__setattr__(self, "bins", arr)
 
     @property
@@ -116,12 +125,7 @@ class ComplexMask:
     bins: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("mask contains non-finite bins")
-        object.__setattr__(self, "bins", arr)
+        object.__setattr__(self, "bins", _bins(self.bins, "mask"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -164,19 +168,30 @@ def istft(spec: Spectrogram) -> MonoSignal:
     return MonoSignal(acc[pad : pad + n], cfg.sample_rate)
 
 
+def _check_operands(**operands: Spectrogram | ComplexMask) -> None:
+    """Reject spectrograms of different STFT configs, even of one shape (1 s at 44.1
+    and at 48 kHz: 1025 x 101 bins), then operands of different shapes, by keyword."""
+    configs = dict.fromkeys(op.config for op in operands.values() if isinstance(op, Spectrogram))
+    if len(configs) > 1:
+        raise ValueError("spectrograms of different STFT configs: " + " vs ".join(
+            f"{c.sample_rate} Hz {c.to_dict()}" for c in configs))
+    if len({op.shape for op in operands.values()}) > 1:
+        raise ValueError("shapes differ: " + " vs ".join(
+            f"{name} {op.shape}" for name, op in operands.items()))
+
+
+def _finite(name: str, value, what: str = "the pair's samples") -> float:
+    """`value` as a float, or a ValueError naming the metric or loss when it
+    is not finite: finite inputs whose squares or spectra overflow."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is {value}: {what} are too large to score")
+    return float(value)
+
+
 def apply_mask(mask: ComplexMask, spec: Spectrogram) -> Spectrogram:
     """Element-wise complex product mask * spectrogram."""
-    if mask.shape != spec.shape:
-        raise ValueError(f"mask shape {mask.shape} != spectrogram shape {spec.shape}")
+    _check_operands(mask=mask, spec=spec)
     return Spectrogram(mask.bins * spec.bins, spec.config, n_samples=spec.n_samples)
-
-
-def _check_same_config(*configs: StftConfig) -> None:
-    """Reject spectrograms of different STFT configs, whose shapes may still
-    agree: 44.1 and 48 kHz both give 1025 bins and, for 1 s, 101 frames."""
-    if len(set(configs)) > 1:
-        raise ValueError("spectrograms of different STFT configs: " + " vs ".join(
-            f"{c.sample_rate} Hz {c.to_dict()}" for c in dict.fromkeys(configs)))
 
 
 class MonoDiff(NamedTuple):
@@ -187,12 +202,7 @@ class MonoDiff(NamedTuple):
 
 def mono_and_diff(left: MonoSignal, right: MonoSignal) -> MonoDiff:
     """Mono sum l+r with its spectrogram, plus the spectrogram of l-r."""
-    if left.n_samples != right.n_samples:
-        raise ValueError(
-            f"channel lengths differ: {left.n_samples} vs {right.n_samples}"
-        )
-    if left.sample_rate != right.sample_rate:
-        raise ValueError("channel sample rates differ")
+    _check_pair(left, right)
     s_m = MonoSignal(left.samples + right.samples, left.sample_rate)
     s_d = MonoSignal(left.samples - right.samples, left.sample_rate)
     return MonoDiff(s_m, stft(s_m), stft(s_d))
@@ -200,10 +210,7 @@ def mono_and_diff(left: MonoSignal, right: MonoSignal) -> MonoDiff:
 
 def reconstruct_lr(s_m: MonoSignal, diff: MonoSignal) -> BinauralSignal:
     """left = (s_m + diff)/2, right = (s_m - diff)/2."""
-    if s_m.n_samples != diff.n_samples:
-        raise ValueError(f"lengths differ: {s_m.n_samples} vs {diff.n_samples}")
-    if s_m.sample_rate != diff.sample_rate:
-        raise ValueError(f"sample rates differ: {s_m.sample_rate} vs {diff.sample_rate}")
+    _check_pair(s_m, diff)
     lr = (s_m.samples + [[1.0], [-1.0]] * diff.samples) / 2.0
     return BinauralSignal._adopt(lr, s_m.sample_rate)
 
@@ -214,9 +221,7 @@ def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> 
     The learning-free minimizer of the stereo loss; eps keeps near-silent
     mono bins from blowing the division up.
     """
-    _check_same_config(spec_d.config, spec_m.config)
-    if spec_d.shape != spec_m.shape:
-        raise ValueError(f"shapes differ: {spec_d.shape} vs {spec_m.shape}")
+    _check_operands(spec_d=spec_d, spec_m=spec_m)
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     denom = np.abs(spec_m.bins) ** 2 + eps
@@ -225,11 +230,9 @@ def oracle_mask(spec_d: Spectrogram, spec_m: Spectrogram, eps: float = 1e-8) -> 
 
 def loss_stereo(spec_d: Spectrogram, mask: ComplexMask, spec_m: Spectrogram) -> float:
     """L2 norm of the masking residual S_D - M * S_m (sum over bins, then sqrt)."""
-    _check_same_config(spec_d.config, spec_m.config)
-    if mask.shape != spec_m.shape or spec_d.shape != spec_m.shape:
-        raise ValueError("spectrogram/mask shapes differ")
+    _check_operands(spec_d=spec_d, mask=mask, spec_m=spec_m)
     residual = spec_d.bins - mask.bins * spec_m.bins
-    return float(np.sqrt(np.sum(np.abs(residual) ** 2)))
+    return _finite("loss_stereo", np.sqrt(np.sum(np.abs(residual) ** 2)), "the operands' bins")
 
 
 def loss_separation(
@@ -240,13 +243,11 @@ def loss_separation(
     spec_mix: Spectrogram,
 ) -> float:
     """Sum of the two squared residual norms of the mix-and-separate task."""
-    _check_same_config(spec_a.config, spec_b.config, spec_mix.config)
-    shapes = {spec_a.shape, spec_b.shape, mask_a.shape, mask_b.shape, spec_mix.shape}
-    if len(shapes) != 1:
-        raise ValueError(f"shapes differ: {shapes}")
+    _check_operands(spec_a=spec_a, spec_b=spec_b, mask_a=mask_a, mask_b=mask_b, spec_mix=spec_mix)
     res_a = spec_a.bins - mask_a.bins * spec_mix.bins
     res_b = spec_b.bins - mask_b.bins * spec_mix.bins
-    return float(np.sum(np.abs(res_a) ** 2) + np.sum(np.abs(res_b) ** 2))
+    value = np.sum(np.abs(res_a) ** 2) + np.sum(np.abs(res_b) ** 2)
+    return _finite("loss_separation", value, "the operands' bins")
 
 
 def loss_total(stereo: float, sep: float, lambda_sep: float = 1.0) -> float:

@@ -73,17 +73,23 @@ def _legendre(l: int, m: int, x):
     return pll
 
 
+def _order(l: int, m: int) -> int:
+    """|m| as an int, or a ValueError unless 0 <= |m| <= l."""
+    if l < 0:
+        raise ValueError(f"order l must be non-negative, got {l}")
+    m = abs(int(m))
+    if m > l:
+        raise ValueError(f"|m| = {m} exceeds l = {l}")
+    return m
+
+
 def assoc_legendre(l: int, m: int, x):
     """Associated Legendre P^|m|_l(x) without the Condon-Shortley phase.
 
     Accepts a scalar (returns a float) or an array (returns an ndarray of
     its shape) for ``x``; |x| must not exceed 1.
     """
-    if l < 0:
-        raise ValueError(f"order l must be non-negative, got {l}")
-    m = abs(int(m))
-    if m > l:
-        raise ValueError(f"|m| = {m} exceeds l = {l}")
+    m = _order(l, m)
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
         x = float(x)
         in_domain = -1.0 <= x <= 1.0
@@ -97,11 +103,7 @@ def assoc_legendre(l: int, m: int, x):
 
 def sn3d_norm(l: int, m: int) -> float:
     """Schmidt semi-normalization weight N^|m|_l."""
-    if l < 0:
-        raise ValueError(f"order l must be non-negative, got {l}")
-    m = abs(int(m))
-    if m > l:
-        raise ValueError(f"|m| = {m} exceeds l = {l}")
+    m = _order(l, m)
     delta = 1.0 if m == 0 else 0.0
     return math.sqrt((2.0 - delta) * math.factorial(l - m) / math.factorial(l + m))
 
@@ -112,8 +114,6 @@ def real_sph_harmonic(l: int, m: int, direction: Direction) -> float:
     cos(m*azimuth) flavors for m >= 0, sin(|m|*azimuth) for m < 0; the
     polar argument is sin(elevation).
     """
-    if abs(m) > l:
-        raise ValueError(f"|m| = {abs(m)} exceeds l = {l}")
     p = assoc_legendre(l, m, math.sin(direction.elevation))
     if m >= 0:
         trig = math.cos(m * direction.azimuth)

@@ -66,9 +66,17 @@ class TestStftDistance:
         expected = math.sqrt(acc_l) + math.sqrt(acc_r)
         assert stft_distance(gt, pred, window_s=None) == pytest.approx(expected, abs=1e-9)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            stft_distance(noise_pair(5), noise_pair(6, n=SR + 1))
+    # every pair-taking metric checks a pair alike and names both values
+    @pytest.mark.parametrize("metric", [evaluate, snr, stft_distance, env_distance, mag_distance])
+    @pytest.mark.parametrize("rate, n, message", [
+        (SR, SR + 1, "signal lengths differ: 16000 vs 16001"),
+        (8000, SR, "sample rates differ: 16000 vs 8000"),
+    ], ids=["length", "rate"])
+    def test_length_mismatch_rejected(self, metric, rate, n, message):
+        rng = np.random.default_rng(6)
+        pred = BinauralSignal(rng.normal(size=n), rng.normal(size=n), rate)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            metric(noise_pair(5), pred)
 
 
 class TestEnvDistance:
@@ -201,7 +209,8 @@ class TestDPhase:
 
     def test_shape_mismatch_rejected(self):
         gt = noise_pair(24, n=4000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=(
+                r"^shapes differ: gt_diff \(257, 26\) vs pred_diff_spec \(257, 51\)$")):
             d_phase(gt, stft(MonoSignal(np.zeros(8000), SR)))
 
 

@@ -267,6 +267,12 @@ class TestSampleScene:
         with pytest.raises(ValueError, match="pool"):
             sample_scene(0, ["a", "b"])
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_named(self, seed):
+        with pytest.raises(ValueError, match=(
+                f"^seed must fit an unsigned 64-bit integer, got {seed}$")):
+            sample_scene(seed, ["a", "b", "c"])
+
     def test_invalid_ratios_rejected(self):
         pool = ["a", "b", "c"]
         with pytest.raises(ValueError, match="ratios"):

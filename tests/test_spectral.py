@@ -286,6 +286,18 @@ class TestRoundTrip:
         anon = Spectrogram(spec.bins, spec.config)
         assert istft(anon).n_samples == (spec.bins.shape[1] - 1) * spec.config.hop
 
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(0.5), 1.0, float("nan"), "1"])
+    def test_source_length_must_be_an_integer(self, n):
+        # 2.5 and True fit one frame, but istft could not slice at 2.5
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got "):
+            Spectrogram(np.zeros((257, 1)), DEFAULT_STFT, n_samples=n)
+
+    @pytest.mark.parametrize("n", [np.int64(960), np.uint16(960)], ids=["int64", "uint16"])
+    def test_source_length_of_a_numpy_integer_is_kept_as_an_int(self, n):
+        spec = Spectrogram(np.zeros((257, 7)), DEFAULT_STFT, n_samples=n)
+        assert type(spec.n_samples) is int and spec.n_samples == 960
+        assert istft(spec).n_samples == 960
+
     @pytest.mark.parametrize("n", [50000, 10, -5, 959, 1120])
     def test_source_length_must_give_its_frame_count(self, n):
         bins = rand_spec(np.random.default_rng(6), frames=7).bins
@@ -316,10 +328,26 @@ class TestMask:
         mask = ComplexMask(target.bins / source.bins)  # |bins| > 0 a.s.
         np.testing.assert_allclose(apply_mask(mask, source).bins, target.bins, atol=1e-12)
 
-    def test_shape_mismatch_rejected(self):
+    # every function that takes several spectrograms or masks names each
+    # operand's shape; configs are compared first (see also TestMixedRates)
+    @pytest.mark.parametrize("call, message", [
+        (lambda a, b: apply_mask(ComplexMask(b.bins), a),
+         r"shapes differ: mask \(257, 2\) vs spec \(257, 16\)"),
+        (lambda a, b: oracle_mask(a, b),
+         r"shapes differ: spec_d \(257, 16\) vs spec_m \(257, 2\)"),
+        (lambda a, b: loss_stereo(a, ComplexMask(a.bins), b),
+         r"shapes differ: spec_d \(257, 16\) vs mask \(257, 16\) vs spec_m \(257, 2\)"),
+        (lambda a, b: loss_separation(a, a, ComplexMask(b.bins), ComplexMask(a.bins), a),
+         r"shapes differ: spec_a \(257, 16\) vs spec_b \(257, 16\) vs mask_a \(257, 2\) "
+         r"vs mask_b \(257, 16\) vs spec_mix \(257, 16\)"),
+        (lambda a, b: oracle_mask(a, rand_spec(np.random.default_rng(9), StftConfig(8000), 2)),
+         r"spectrograms of different STFT configs: 16000 Hz \{'n_fft': 512, 'win': 400, "
+         r"'hop': 160\} vs 8000 Hz \{'n_fft': 256, 'win': 200, 'hop': 80\}"),
+    ], ids=["apply_mask", "oracle_mask", "loss_stereo", "loss_separation", "config_first"])
+    def test_shape_mismatch_rejected(self, call, message):
         rng = np.random.default_rng(8)
-        with pytest.raises(ValueError):
-            apply_mask(ComplexMask(np.ones((2, 2))), rand_spec(rng))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(rand_spec(rng), rand_spec(rng, frames=2))
 
 
 class TestMonoAndDiff:
@@ -342,9 +370,15 @@ class TestMonoAndDiff:
             md.spec_d.bins, stft(mono(l)).bins - stft(mono(r)).bins, atol=1e-9
         )
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mono_and_diff(mono(np.ones(4000)), mono(np.ones(4001)))
+    # both pair-taking functions here check a pair alike and name both values
+    @pytest.mark.parametrize("func", [mono_and_diff, reconstruct_lr])
+    @pytest.mark.parametrize("rate, n, message", [
+        (SR, 4001, "signal lengths differ: 4000 vs 4001"),
+        (8000, 4000, "sample rates differ: 16000 vs 8000"),
+    ], ids=["length", "rate"])
+    def test_length_mismatch_rejected(self, func, rate, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            func(mono(np.ones(4000)), MonoSignal(np.ones(n), rate))
 
 
 class TestReconstruct:
@@ -441,6 +475,18 @@ class TestMixedRates:
 
 
 class TestLosses:
+    @pytest.mark.parametrize("loss, operands", [
+        (loss_stereo, lambda big, zero: (big, zero, big)),
+        (loss_separation, lambda big, zero: (big, big, zero, zero, big)),
+    ], ids=["loss_stereo", "loss_separation"])
+    def test_a_loss_that_overflows_is_named(self, loss, operands):
+        # finite bins whose squares overflow: named like the metrics' overflow
+        big = Spectrogram(np.full((257, 4), 1e200), DEFAULT_STFT)
+        zero = ComplexMask(np.zeros(big.shape))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=f"^{loss.__name__} is inf: the operands' bins are too large"):
+            loss(*operands(big, zero))
+
     def test_perfect_mask_loss_vanishes(self):
         rng = np.random.default_rng(19)
         source = rand_spec(rng)

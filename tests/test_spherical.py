@@ -119,6 +119,21 @@ class TestSn3dNorm:
 
 
 class TestRealSphHarmonic:
+    # the three functions of (l, m) check an order alike
+    @pytest.mark.parametrize("func", [
+        lambda l, m: assoc_legendre(l, m, 0.0),
+        sn3d_norm,
+        lambda l, m: real_sph_harmonic(l, m, Direction(0.0, 0.0)),
+    ], ids=["assoc_legendre", "sn3d_norm", "real_sph_harmonic"])
+    @pytest.mark.parametrize("l, m, message", [
+        (-1, 0, "order l must be non-negative, got -1"),
+        (1, 2, r"\|m\| = 2 exceeds l = 1"),
+        (1, -2, r"\|m\| = 2 exceeds l = 1"),
+    ], ids=["negative l", "m past l", "negative m past l"])
+    def test_order_outside_its_range_rejected(self, func, l, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            func(l, m)
+
     def test_omni_term(self):
         for az, el in [(0.0, 0.0), (1.2, -0.7), (-2.5, 1.1)]:
             assert real_sph_harmonic(0, 0, Direction(az, el)) == pytest.approx(1.0)

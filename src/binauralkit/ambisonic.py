@@ -112,9 +112,20 @@ class MonoSignal(_Signal):
         return self.n_samples / self.sample_rate
 
 
+_IDENTITY = np.eye(4)
+_IDENTITY.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class BFormat(_Signal):
-    """First-order ambisonic signal: channels W, X, Y, Z."""
+    """First-order ambisonic signal: channels W, X, Y, Z.
+
+    It also keeps the factors `_factors` = (gains (4, K), rows (K, n)) of its
+    block, data == gains @ rows, both read-only: a column of harmonic gains and
+    a mono row per source for what `encode`, `mix` (while K stays below 4) and
+    pseudo scenes build, and (I4, data) for any other signal. A render
+    convolves the rows, so K sources cost K channels, not four.
+    """
 
     w: np.ndarray
     x: np.ndarray
@@ -122,16 +133,44 @@ class BFormat(_Signal):
     z: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
+    def _store(self, data: np.ndarray) -> None:
+        super()._store(data)
+        object.__setattr__(self, "_factors", (_IDENTITY, data))
+
+    @classmethod
+    def _of_sources(cls, gains: np.ndarray, data: np.ndarray, sample_rate: int, rows=None):
+        """`_adopt(data, sample_rate)` factored as (gains, rows); rows default to
+        data's first K rows, views of it."""
+        b = cls._adopt(data, sample_rate)
+        rows = b.data[: gains.shape[1]] if rows is None else rows
+        gains.flags.writeable = rows.flags.writeable = False
+        object.__setattr__(b, "_factors", (gains, rows))
+        return b
+
+    def __reduce__(self):
+        # the factors travel too, so a loaded signal renders the same bytes;
+        # rows that view data (I4's four, an encode's W) travel as part of it
+        gains, rows = self._factors
+        extra = () if np.shares_memory(rows, self.data) else (rows,)
+        return type(self)._of_sources, (gains, self.data, self.sample_rate, *extra)
+
 
 def encode(source: MonoSignal, direction: Direction) -> BFormat:
     """Encode a mono source at a direction into first-order B-format."""
     if source.n_samples == 0:
         raise ValueError("cannot encode an empty signal")
-    return BFormat._adopt(harmonic_vector(direction)[:, None] * source.samples, source.sample_rate)
+    gains = harmonic_vector(direction)[:, None]
+    # W's gain is 1.0, so the W row is the source's samples, bit for bit: the one factor row
+    return BFormat._of_sources(gains, gains * source.samples, source.sample_rate)
 
 
 def mix(parts: Sequence[BFormat]) -> BFormat:
-    """Channel-wise sum of B-format signals; shorter parts are zero-padded."""
+    """Channel-wise sum of B-format signals; shorter parts are zero-padded.
+
+    Below four rows in all, the parts' factors are kept side by side, each
+    row zero-padded to the mix's length; from four on, the mix factors as
+    (I4, data) like any channel-built signal.
+    """
     if len(parts) == 0:
         raise ValueError("cannot mix an empty list of B-format signals")
     rates = {p.sample_rate for p in parts}
@@ -141,4 +180,8 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     out = np.zeros((4, n))
     for p in parts:
         out[:, : p.n_samples] += p.data
-    return BFormat._adopt(out, parts[0].sample_rate)
+    gains = np.hstack([p._factors[0] for p in parts])
+    if gains.shape[1] >= 4:
+        return BFormat._adopt(out, parts[0].sample_rate)
+    rows = np.concatenate([np.pad(p._factors[1], ((0, 0), (0, n - p.n_samples))) for p in parts])
+    return BFormat._of_sources(gains, out, parts[0].sample_rate, rows)

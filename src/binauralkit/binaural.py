@@ -4,11 +4,14 @@ The virtual-speaker renderer projects the B-format field onto a fixed
 speaker array by the minimum-norm least-squares solution (Moore-Penrose
 pseudoinverse of the 4 x M harmonic matrix), then convolves each virtual
 feed with the HRIR pair nearest its speaker direction and sums per ear.
-All three stages are linear and time-invariant, so they run as one
-precomputed 4-in/2-out FIR per (array, pack), cached by object identity;
-the FIRs of packs and the matrices of arrays are read-only. The direct
-HRIR decoder is the same FIR call, overlap-save in blocks sized by the
-filter (`fft_convolve`), with the nearest pair as a 1-in/2-out filter.
+All three stages are linear and time-invariant, so they fold into one
+precomputed 4-in/2-out plan G per (array, pack), cached by object identity;
+the FIRs of packs and the matrices of arrays are read-only. Encoding is
+linear too: a render folds G through the signal's harmonic gains and
+convolves the K mono rows it was built from (one per source, K <= 3), or
+the four channels of a signal built from them. The direct HRIR decoder is
+the same FIR call, overlap-save in blocks sized by the filter
+(`fft_convolve`), with the nearest pair as a 1-in/2-out filter.
 """
 
 from __future__ import annotations
@@ -131,11 +134,11 @@ def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _render(sig: _Signal, firs: np.ndarray, pack: HrirPack) -> BinauralSignal:
-    """`fft_convolve` of the signal's channels with `firs`, built from `pack`."""
-    if sig.sample_rate != pack.sample_rate:
-        raise ValueError(f"signal rate {sig.sample_rate} != pack rate {pack.sample_rate}")
-    return BinauralSignal._adopt(fft_convolve(sig.data, firs), sig.sample_rate)
+def _render(x: np.ndarray, sample_rate: int, firs: np.ndarray, pack: HrirPack) -> BinauralSignal:
+    """`fft_convolve` of the (C, n) block `x` with `firs`, built from `pack`."""
+    if sample_rate != pack.sample_rate:
+        raise ValueError(f"signal rate {sample_rate} != pack rate {pack.sample_rate}")
+    return BinauralSignal._adopt(fft_convolve(x, firs), sample_rate)
 
 
 def _ear_pairs(entries) -> np.ndarray:
@@ -151,7 +154,7 @@ def _ear_pairs(entries) -> np.ndarray:
 
 def render_direct_hrir(source: MonoSignal, direction: Direction, pack: HrirPack) -> BinauralSignal:
     """Convolve the source with the HRIR pair nearest the given direction."""
-    return _render(source, _ear_pairs([nearest(pack, direction)]), pack)
+    return _render(source.data, source.sample_rate, _ear_pairs([nearest(pack, direction)]), pack)
 
 
 def project_to_speakers(b: BFormat, arr: SpeakerArray) -> list[MonoSignal]:
@@ -175,9 +178,13 @@ def _ear_filters(arr: SpeakerArray, pack: HrirPack) -> np.ndarray:
 
 def render_ambisonic_hrir(b: BFormat, arr: SpeakerArray, pack: HrirPack) -> BinauralSignal:
     """Project onto the virtual array, convolve each feed with its nearest
-    HRIR pair, and sum per ear, as one 4-in/2-out FIR over the B-format
-    channels."""
-    return _render(b, _ear_filters(arr, pack), pack)
+    HRIR pair, and sum per ear, as one K-in/2-out FIR over the rows of the
+    signal's factors (gains, rows): row k meets the stereo FIR
+    sum_c G[:, c] gains[c, k]. A signal built from its channels factors as
+    (I4, data), so its four channels meet G itself."""
+    gains, rows = b._factors
+    firs = np.einsum("ect,ck->ekt", _ear_filters(arr, pack), gains)
+    return _render(rows, b.sample_rate, firs, pack)
 
 
 def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:

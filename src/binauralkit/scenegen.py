@@ -3,8 +3,9 @@ and deterministic dataset generation.
 
 Scenes hold up to three mono sources, each fitted to the scene length, peak-normalized,
 gain-scaled (gain doubles as the depth proxy and the visual patch scale) and encoded at
-its mapped direction into one (4, n) B-format block, rendered once through the virtual
-speakers. Each random draw is keyed off a seed, so (master_seed, index) fixes each byte.
+its mapped direction into one (4, n) B-format block that keeps its sources as factors, so
+its one render through the virtual speakers convolves K source rows, not four channels.
+Each random draw is keyed off a seed, so (master_seed, index) fixes each byte.
 A dataset config file is read against `DatasetConfig` (its `fov` against
 `FovConfig`) by `hrir._from_json`: exact keys, typed values.
 """
@@ -12,6 +13,7 @@ A dataset config file is read against `DatasetConfig` (its `fov` against
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,7 +63,10 @@ class SceneSource:
 
 
 def _check_seed(seed) -> int:
-    """`seed` as an int, or a ValueError naming it unless it fits a uint64."""
+    """`seed` as an int, or a ValueError naming it unless it is an integer
+    (numpy's too, not a bool) that fits a uint64."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
     return int(seed)
@@ -81,7 +86,7 @@ class SceneSpec:
         if not 1 <= len(self.sources) <= MAX_SOURCES:
             raise ValueError(f"scenes hold 1..{MAX_SOURCES} sources, got {len(self.sources)}")
         seconds_to_samples(self.duration_s, self.sample_rate, "duration_s")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +149,15 @@ def synth_pseudo_pair(
 
     Each clip is trimmed or zero-padded to n samples (all zeros there is an error naming
     it), peak normalized, scaled by its gain and encoded at its direction into one (4, n)
-    block rendered once: `render_ambisonic_hrir(mix([encode(...)]))`, byte for byte.
+    block factored as (harmonic gains (4, K), scaled clips (K, n)) and rendered once from
+    its K rows: `render_ambisonic_hrir(mix([encode(...)]))`, byte for byte.
     """
     n = seconds_to_samples(spec.duration_s, spec.sample_rate, "duration_s")
-    block = np.zeros((4, n))
+    gains, rows = np.empty((4, len(spec.sources))), np.empty((len(spec.sources), n))
     mono_mix = np.zeros(n)
     per_source = []
     meta_sources = []
-    for source in spec.sources:
+    for k, source in enumerate(spec.sources):
         clip = _fetch(store, source.audio_ref)
         if clip.sample_rate != spec.sample_rate:
             raise ValueError(
@@ -160,8 +166,9 @@ def synth_pseudo_pair(
             )
         u, v, direction = resolve_placement(source, spec.fov)
         x = np.pad(clip.samples[:n], (0, n - min(clip.n_samples, n)))
-        scaled = _unit_peak(x, f"clip {source.audio_ref!r} in its first {n} samples") * source.gain
-        block += harmonic_vector(direction)[:, None] * scaled
+        gains[:, k] = harmonic_vector(direction)
+        unit = _unit_peak(x, f"clip {source.audio_ref!r} in its first {n} samples")
+        scaled = np.multiply(unit, source.gain, out=rows[k])
         mono_mix += scaled
         per_source.append(MonoSignal(scaled, spec.sample_rate))
         meta_sources.append(
@@ -184,7 +191,9 @@ def synth_pseudo_pair(
         "sources": meta_sources,
     }
     return PseudoPair(
-        binaural=render_ambisonic_hrir(BFormat._adopt(block, spec.sample_rate), arr, pack),
+        binaural=render_ambisonic_hrir(
+            BFormat._of_sources(gains, gains @ rows, spec.sample_rate, rows), arr, pack
+        ),
         mono_mix=MonoSignal(mono_mix, spec.sample_rate),
         per_source_mono=tuple(per_source),
         metadata=metadata,

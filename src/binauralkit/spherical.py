@@ -12,6 +12,7 @@ comparing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,11 @@ def _legendre(l: int, m: int, x):
 
 
 def _order(l: int, m: int) -> int:
-    """|m| as an int, or a ValueError unless 0 <= |m| <= l."""
+    """|m| as an int, or a ValueError unless l and m are integers (numpy's too,
+    not bools) with 0 <= |m| <= l."""
+    for name, value in (("l", l), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"order {name} must be an integer, got {value!r}")
     if l < 0:
         raise ValueError(f"order l must be non-negative, got {l}")
     m = abs(int(m))

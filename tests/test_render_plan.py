@@ -14,10 +14,15 @@ output sample.
 the whole-clip transform it replaced, stays here as a second oracle, and
 `einsum_block_convolve`, the same blocks framed from a zero-padded copy of
 each pass and summed over channels by `np.einsum`, as a third.
+
+A B-format signal renders from its factors (gains, rows), one row per
+source; `TestSourceFactors` holds that render against the render of the
+same block built from its four channels.
 """
 
 import bisect
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -40,7 +45,8 @@ from binauralkit.binaural import (
     render_direct_hrir,
 )
 from binauralkit.hrir import HrirEntry, HrirPack, nearest, synth_pack
-from binauralkit.spherical import Direction
+from binauralkit.scenegen import PseudoPair
+from binauralkit.spherical import Direction, harmonic_vector
 
 REL_TOL = 1e-12
 
@@ -274,6 +280,122 @@ class TestEarFilterCache:
         assert not g.flags.writeable
 
 
+class TestSourceFactors:
+    """A B-format signal keeps factors (gains, rows) of its block and renders
+    its rows: one per source for `encode` and a `mix` of fewer than four rows,
+    the four channels (I4, data) for any other signal."""
+
+    @pytest.fixture(scope="class")
+    def render_scale(self):
+        # imported here, not at the top: that module imports this one
+        from test_scene_render import render_scale
+
+        return render_scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sources=st.lists(directions, min_size=1, max_size=3),
+        passes=st.integers(1, 3),
+        tail=st.integers(0, 700),
+        seed=seeds,
+        pack_seed=seeds,
+        speakers=st.one_of(st.none(), st.lists(directions, min_size=4, max_size=10)),
+    )
+    @example(sources=[(0.5, -0.2)], passes=1, tail=0, seed=2, pack_seed=3, speakers=None)
+    @example(sources=[(-2.0, 0.3), (0.1, 0.0), (1.0, -1.0)], passes=3, tail=38, seed=4,
+             pack_seed=5, speakers=TETRAHEDRON)
+    def test_factored_render_matches_the_channel_built_render(
+        self, render_scale, sources, passes, tail, seed, pack_seed, speakers,
+    ):
+        arr = default_speaker_array() if speakers is None else speaker_array_or_reject(speakers)
+        pack = uneven_pack(pack_seed)
+        # several passes and an odd tail; later sources are shorter, so mix pads their rows
+        n = passes * _CHUNK + 2 * tail + 1
+        rng = np.random.default_rng(seed)
+        monos = [MonoSignal(rng.normal(size=n - k * tail), pack.sample_rate)
+                 for k in range(len(sources))]
+        dirs = [Direction(az, el) for az, el in sources]
+        b = mix([encode(m, d) for m, d in zip(monos, dirs)])
+        assert b._factors[1].shape == (len(sources), n)
+        got = render_ambisonic_hrir(b, arr, pack).data
+        want = render_ambisonic_hrir(BFormat(*b.data, sample_rate=b.sample_rate), arr, pack).data
+        metadata = {"sources": [{"azimuth_rad": d.azimuth, "elevation_rad": d.elevation}
+                                for d in dirs]}
+        scale = render_scale(PseudoPair(None, None, tuple(monos), metadata), arr, pack)
+        err = float(np.max(np.abs(got - want)))
+        assert err <= REL_TOL * scale, (err, scale)
+
+    @pytest.mark.parametrize("pack", [synth_pack(), uneven_pack(7), synth_pack(n_azimuths=5)],
+                             ids=["synth", "uneven", "coarse"])
+    def test_channel_built_signal_renders_its_four_channels(self, pack):
+        # (I4, data): the filters are the plan's own bytes, so the render is
+        # fft_convolve of the channels with the plan, byte for byte
+        rng = np.random.default_rng(5)
+        b = BFormat(*rng.normal(size=(4, 2 * _CHUNK + 301)), sample_rate=pack.sample_rate)
+        for arr in (default_speaker_array(), SpeakerArray([Direction(*d) for d in TETRAHEDRON])):
+            want = fft_convolve(b.data, _ear_filters(arr, pack))
+            assert render_ambisonic_hrir(b, arr, pack).data.tobytes() == want.tobytes()
+
+    def test_mix_of_four_rows_renders_as_its_channel_built_copy(self):
+        arr, pack = default_speaker_array(), synth_pack()
+        rng = np.random.default_rng(6)
+        parts = [encode(MonoSignal(rng.normal(size=900 + 50 * k)), Direction(az, el))
+                 for k, (az, el) in enumerate(TETRAHEDRON)]
+        for b in (mix(parts), mix([mix(parts[:2]), parts[2], mix(parts[3:])]), mix(parts * 2)):
+            assert b._factors[1] is b.data
+            channels = BFormat(*b.data, sample_rate=b.sample_rate)
+            want = render_ambisonic_hrir(channels, arr, pack).data.tobytes()
+            assert render_ambisonic_hrir(b, arr, pack).data.tobytes() == want
+
+    def test_factors_are_gains_and_rows_of_the_block(self):
+        rng = np.random.default_rng(7)
+        first = rng.normal(size=300)
+        first[:4] = [-0.0, 0.0, 5e-324, -5e-324]
+        monos = [MonoSignal(first)] + [MonoSignal(rng.normal(size=300 - 100 * k)) for k in (1, 2)]
+        dirs = [Direction(0.3 * k, -0.2 * k) for k in range(3)]
+        parts = [encode(m, d) for m, d in zip(monos, dirs)]
+        assert parts[0]._factors[1].base is parts[0].data  # the W row, no copy
+        assert parts[0]._factors[1].tobytes() == monos[0].data.tobytes()
+        for k in (1, 2, 3):
+            b = mix(parts[:k])
+            gains, rows = b._factors
+            assert gains.shape == (4, k) and rows.shape == (k, 300)
+            assert not gains.flags.writeable and not rows.flags.writeable
+            np.testing.assert_allclose(gains @ rows, b.data, rtol=0, atol=1e-15)
+        channels = BFormat(*b.data)
+        assert channels._factors[1] is channels.data
+        np.testing.assert_array_equal(channels._factors[0], np.eye(4))
+
+    def test_encode_and_mix_keep_their_channel_bytes(self):
+        # data is the product per source and the zero-padded channel sum, as ever
+        rng = np.random.default_rng(8)
+        monos = [MonoSignal(rng.normal(size=400 - 60 * k)) for k in range(5)]
+        dirs = [Direction(1.1 - 0.7 * k, 0.4 - 0.2 * k) for k in range(5)]
+        parts = [encode(m, d) for m, d in zip(monos, dirs)]
+        for p, m, d in zip(parts, monos, dirs):
+            assert p.data.tobytes() == (harmonic_vector(d)[:, None] * m.samples).tobytes()
+        for k in range(1, 6):
+            want = np.zeros((4, 400))
+            for p in parts[:k]:
+                want[:, : p.n_samples] += p.data
+            assert mix(parts[:k]).data.tobytes() == want.tobytes()
+
+    def test_pickle_round_trip_renders_the_same_bytes(self):
+        arr, pack = default_speaker_array(), synth_pack()
+        rng = np.random.default_rng(9)
+        parts = [encode(MonoSignal(rng.normal(size=700 - 30 * k)), Direction(0.5 * k - 1, 0.1 * k))
+                 for k in range(4)]
+        signals = [parts[0], mix(parts[:2]), mix(parts[:3]), mix(parts),
+                   BFormat(*rng.normal(size=(4, 700)))]
+        for b in signals:
+            loaded = pickle.loads(pickle.dumps(b))
+            assert [f.tobytes() for f in loaded._factors] == [f.tobytes() for f in b._factors]
+            assert not any(f.flags.writeable for f in loaded._factors)
+            assert loaded.data.tobytes() == b.data.tobytes()
+            want = render_ambisonic_hrir(b, arr, pack).data.tobytes()
+            assert render_ambisonic_hrir(loaded, arr, pack).data.tobytes() == want
+
+
 class TestFftConvolve:
     def test_matches_np_convolve(self):
         # a (2, n) block through (3, 2, k) filters: each output row is the
@@ -328,15 +450,31 @@ class TestFftConvolve:
         assert_close_to_scale(got, want, x, firs)
 
     def test_whole_block_prefix_renders_bitwise_equal(self):
+        # a mix renders from its sources' rows, so its prefix is the mix of the
+        # sources' prefixes; a channel-built copy renders its four channels, so
+        # its prefix is built from the channels' prefixes
         arr, pack = default_speaker_array(), synth_pack()
         step = block_step(_ear_filters(arr, pack).shape[-1])
         per_chunk = _CHUNK // step
-        b = mixed_scene([(0.6, 0.1), (-1.0, -0.2)], 3 * _CHUNK + 301, 8, pack.sample_rate)
+        rng = np.random.default_rng(8)
+        n = 3 * _CHUNK + 301
+        sources = [(rng.normal(size=n), Direction(0.6, 0.1)),
+                   (rng.normal(size=n), Direction(-1.0, -0.2))]
+
+        def scene(m):
+            return mix([encode(MonoSignal(x[:m], pack.sample_rate), d) for x, d in sources])
+
+        b = scene(n)
         full = render_ambisonic_hrir(b, arr, pack).data
+        channels = BFormat(*b.data, sample_rate=b.sample_rate)
+        full_channels = render_ambisonic_hrir(channels, arr, pack).data
         for k in (1, 2, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk + 5):
-            prefix = BFormat(*b.data[:, : k * step], sample_rate=b.sample_rate)
+            m = k * step
+            got = render_ambisonic_hrir(scene(m), arr, pack).data
+            np.testing.assert_array_equal(got, full[:, :m])
+            prefix = BFormat(*channels.data[:, :m], sample_rate=b.sample_rate)
             got = render_ambisonic_hrir(prefix, arr, pack).data
-            np.testing.assert_array_equal(got, full[:, : k * step])
+            np.testing.assert_array_equal(got, full_channels[:, :m])
 
     @pytest.mark.parametrize("taps", [1, 28, 200])
     @pytest.mark.parametrize("blocks", [1, 3, "default", "past n"])

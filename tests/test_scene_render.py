@@ -2,10 +2,11 @@
 
 The oracle is the per-source loop `synth_pseudo_pair` used before: render
 each encoded source through the virtual array and sum the ears. The
-renderer is linear, so the two agree up to rounding. A render is the ear
-filter G (2, 4, taps) applied to the source's four B-format channels, and
-those four terms can cancel: with every speaker on one HRIR a source
-straight ahead renders to rounding noise. So the error is measured against
+renderer is linear, so the two agree up to rounding. A render convolves
+each source's row with its stereo FIR sum_c G[:, c] psi_c, the ear filter G
+(2, 4, taps) folded through the source's harmonic gains, and those four
+terms can cancel: with every speaker on one HRIR a source straight ahead
+renders to rounding noise. So the error is measured against
 sum_k max(sum_c |G[ear, c]| * |b_k,c|), the largest value each source's
 render could reach before that cancellation; it bounds sum_k max|render_k|
 from above.

@@ -95,6 +95,21 @@ class TestSceneTypes:
         assert str(info.value) == (f"duration_s must be positive and count fewer than 2**63 "
                                    f"samples at {SR} Hz, got {duration_s}")
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, np.float64(7.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        # sample_scene would truncate a float seed, and True would draw as 1
+        src = SceneSource("clip0", (0.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            SceneSpec(sources=(src,), seed=seed)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            sample_scene(seed, ["a", "b", "c"])
+
+    def test_numpy_integer_seed_is_stored_as_an_int(self):
+        spec = SceneSpec(sources=(SceneSource("clip0", (0.0, 0.0)),), seed=np.uint64(2**63 + 5))
+        assert type(spec.seed) is int and spec.seed == 2**63 + 5
+        pool = ["a", "b", "c"]
+        assert sample_scene(np.uint64(9), pool) == sample_scene(9, pool)
+
     def test_placement_is_a_pixel_pair(self):
         with pytest.raises(TypeError):
             SceneSource("c", Direction(0.0, 0.0))

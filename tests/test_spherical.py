@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,10 +130,27 @@ class TestRealSphHarmonic:
         (-1, 0, "order l must be non-negative, got -1"),
         (1, 2, r"\|m\| = 2 exceeds l = 1"),
         (1, -2, r"\|m\| = 2 exceeds l = 1"),
-    ], ids=["negative l", "m past l", "negative m past l"])
+        (1.5, 0, "order l must be an integer, got 1.5"),
+        (2, 1.5, "order m must be an integer, got 1.5"),
+        (1.9, 1, "order l must be an integer, got 1.9"),
+        (2.0, 0, "order l must be an integer, got 2.0"),
+        (True, 0, "order l must be an integer, got True"),
+        (1, np.True_, re.escape(f"order m must be an integer, got {np.True_!r}")),
+    ], ids=["negative l", "m past l", "negative m past l", "fractional l", "fractional m",
+            "fractional l past m", "float l", "bool l", "numpy bool m"])
     def test_order_outside_its_range_rejected(self, func, l, m, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             func(l, m)
+
+    @pytest.mark.parametrize("func", [
+        lambda l, m: assoc_legendre(l, m, 0.3),
+        sn3d_norm,
+        lambda l, m: real_sph_harmonic(l, m, Direction(0.4, 0.3)),
+    ], ids=["assoc_legendre", "sn3d_norm", "real_sph_harmonic"])
+    def test_numpy_integer_orders_act_as_ints(self, func):
+        for l, m in [(0, 0), (1, -1), (2, 1), (3, -2)]:
+            assert func(np.int64(l), np.int32(m)) == func(l, m)
+            assert func(np.uint8(l), np.int8(m)) == func(l, m)
 
     def test_omni_term(self):
         for az, el in [(0.0, 0.0), (1.2, -0.7), (-2.5, 1.1)]:

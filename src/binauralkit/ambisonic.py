@@ -31,6 +31,10 @@ def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:
     return int(round(n))
 
 
+class _NonFinite(ValueError):
+    """A signal's block holds a non-finite sample; the message names its channel."""
+
+
 @dataclass(frozen=True, eq=False)
 class _Signal:
     """Samples stored once as `data`, a read-only float64 (channels, n) block.
@@ -40,7 +44,9 @@ class _Signal:
     channels, one channel views float64 input without copying (the caller's
     array stays writeable) and several are stacked into a block of their own.
     A block the library has just computed enters through `_adopt`, which
-    stores that block itself; both ways share one check-and-store step.
+    stores that block itself; both ways share one check-and-store step. A
+    `BFormat` built from sources runs that step on the first read of its
+    block, which it builds from its factors then.
     """
 
     data: np.ndarray = field(init=False, repr=False)
@@ -76,7 +82,7 @@ class _Signal:
         names = self._channels()
         for name, finite in zip(names, np.isfinite(data).all(axis=1)):
             if not finite:
-                raise ValueError(f"{name} channel contains non-finite samples")
+                raise _NonFinite(f"{name} channel contains non-finite samples")
         object.__setattr__(self, "sample_rate", as_sample_rate(self.sample_rate))
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -121,10 +127,12 @@ class BFormat(_Signal):
     """First-order ambisonic signal: channels W, X, Y, Z.
 
     It also keeps the factors `_factors` = (gains (4, K), rows (K, n)) of its
-    block, data == gains @ rows, both read-only: a column of harmonic gains and
-    a mono row per source for what `encode`, `mix` (while K stays below 4) and
-    pseudo scenes build, and (I4, data) for any other signal. A render
-    convolves the rows, so K sources cost K channels, not four.
+    block, both read-only. What `encode`, `mix` (while K stays below 4) and
+    pseudo scenes build is only its factors, a column of harmonic gains and a
+    mono row per source: its block `data`, and the channels viewing it, are
+    built from them, finite-checked and kept on their first read. A signal
+    built from its channels keeps its block and factors as (I4, data). A
+    render convolves the rows, so K sources cost K channels, not four.
     """
 
     w: np.ndarray
@@ -138,38 +146,53 @@ class BFormat(_Signal):
         object.__setattr__(self, "_factors", (_IDENTITY, data))
 
     @classmethod
-    def _of_sources(cls, gains: np.ndarray, data: np.ndarray, sample_rate: int, rows=None):
-        """`_adopt(data, sample_rate)` factored as (gains, rows); rows default to
-        data's first K rows, views of it."""
-        b = cls._adopt(data, sample_rate)
-        rows = b.data[: gains.shape[1]] if rows is None else rows
+    def _of_sources(cls, gains: np.ndarray, rows: np.ndarray, sample_rate: int):
+        """A signal of the factors (gains (4, K), rows (K, n)) alone, read-only;
+        its rate is checked now and its block on its first read."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "sample_rate", as_sample_rate(sample_rate))
         gains.flags.writeable = rows.flags.writeable = False
         object.__setattr__(b, "_factors", (gains, rows))
         return b
 
-    def __reduce__(self):
-        # the factors travel too, so a loaded signal renders the same bytes;
-        # rows that view data (I4's four, an encode's W) travel as part of it
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: a source-built signal's block and channels
+        if (name != "data" and name not in self._channels()) or "_factors" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         gains, rows = self._factors
-        extra = () if np.shares_memory(rows, self.data) else (rows,)
-        return type(self)._of_sources, (gains, self.data, self.sample_rate, *extra)
+        data = gains[:, :1] * rows[0]
+        for k in range(1, len(rows)):
+            data += gains[:, k : k + 1] * rows[k]
+        _Signal._store(self, data)  # the finite check names the channel; the factors stay
+        return vars(self)[name]
+
+    def __reduce__(self):
+        # the factors of a source-built signal, about a quarter of its block for one source
+        gains, rows = self._factors
+        if gains is _IDENTITY:
+            return type(self)._adopt, (self.data, self.sample_rate)
+        return type(self)._of_sources, (gains, rows, self.sample_rate)
+
+    @property
+    def n_samples(self) -> int:
+        return self._factors[1].shape[1]
 
 
 def encode(source: MonoSignal, direction: Direction) -> BFormat:
-    """Encode a mono source at a direction into first-order B-format."""
+    """Encode a mono source at a direction into first-order B-format: the
+    factors (harmonic gains, the source's own read-only block), no product."""
     if source.n_samples == 0:
         raise ValueError("cannot encode an empty signal")
-    gains = harmonic_vector(direction)[:, None]
-    # W's gain is 1.0, so the W row is the source's samples, bit for bit: the one factor row
-    return BFormat._of_sources(gains, gains * source.samples, source.sample_rate)
+    # a finite row times gains of at most 1 in size is finite, so nothing is checked here
+    return BFormat._of_sources(harmonic_vector(direction)[:, None], source.data, source.sample_rate)
 
 
 def mix(parts: Sequence[BFormat]) -> BFormat:
     """Channel-wise sum of B-format signals; shorter parts are zero-padded.
 
-    Below four rows in all, the parts' factors are kept side by side, each
-    row zero-padded to the mix's length; from four on, the mix factors as
-    (I4, data) like any channel-built signal.
+    Below four rows in all, the mix is the parts' factors side by side, each
+    row zero-padded to the mix's length; from four on, it sums the parts'
+    blocks and factors as (I4, data) like any channel-built signal.
     """
     if len(parts) == 0:
         raise ValueError("cannot mix an empty list of B-format signals")
@@ -177,11 +200,12 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     if len(rates) != 1:
         raise ValueError(f"sample rates differ: {sorted(rates)}")
     n = max(p.n_samples for p in parts)
+    gains = np.hstack([p._factors[0] for p in parts])
+    if gains.shape[1] < 4:
+        rows = np.concatenate([np.pad(p._factors[1], ((0, 0), (0, n - p.n_samples)))
+                               for p in parts])
+        return BFormat._of_sources(gains, rows, parts[0].sample_rate)
     out = np.zeros((4, n))
     for p in parts:
         out[:, : p.n_samples] += p.data
-    gains = np.hstack([p._factors[0] for p in parts])
-    if gains.shape[1] >= 4:
-        return BFormat._adopt(out, parts[0].sample_rate)
-    rows = np.concatenate([np.pad(p._factors[1], ((0, 0), (0, n - p.n_samples))) for p in parts])
-    return BFormat._of_sources(gains, out, parts[0].sample_rate, rows)
+    return BFormat._adopt(out, parts[0].sample_rate)

@@ -8,8 +8,9 @@ All three stages are linear and time-invariant, so they fold into one
 precomputed 4-in/2-out plan G per (array, pack), cached by object identity;
 the FIRs of packs and the matrices of arrays are read-only. Encoding is
 linear too: a render folds G through the signal's harmonic gains and
-convolves the K mono rows it was built from (one per source, K <= 3), or
-the four channels of a signal built from them. The direct HRIR decoder is
+convolves the K mono rows it was built from (one per source, K <= 3; such
+a signal builds no (4, n) block unless something reads it), or the four
+channels of a signal built from them. The direct HRIR decoder is
 the same FIR call, overlap-save in blocks sized by the filter
 (`fft_convolve`), with the nearest pair as a 1-in/2-out filter.
 """

@@ -3,8 +3,9 @@ and deterministic dataset generation.
 
 Scenes hold up to three mono sources, each fitted to the scene length, peak-normalized,
 gain-scaled (gain doubles as the depth proxy and the visual patch scale) and encoded at
-its mapped direction into one (4, n) B-format block that keeps its sources as factors, so
-its one render through the virtual speakers convolves K source rows, not four channels.
+its mapped direction: the scene's B-format signal is only its factors, harmonic gains
+(4, K) and the K scaled sources, so its one render through the virtual speakers convolves
+K source rows, and no (4, n) block is built.
 Each random draw is keyed off a seed, so (master_seed, index) fixes each byte.
 A dataset config file is read against `DatasetConfig` (its `fov` against
 `FovConfig`) by `hrir._from_json`: exact keys, typed values.
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import wavio
-from .ambisonic import BFormat, MonoSignal, seconds_to_samples
+from .ambisonic import BFormat, MonoSignal, _NonFinite, seconds_to_samples
 from .binaural import (
     BinauralSignal,
     SpeakerArray,
@@ -148,13 +149,13 @@ def synth_pseudo_pair(
     """Render one pseudo visual-stereo pair from a scene description.
 
     Each clip is trimmed or zero-padded to n samples (all zeros there is an error naming
-    it), peak normalized, scaled by its gain and encoded at its direction into one (4, n)
-    block factored as (harmonic gains (4, K), scaled clips (K, n)) and rendered once from
-    its K rows: `render_ambisonic_hrir(mix([encode(...)]))`, byte for byte.
+    it), peak normalized, scaled by its gain and encoded at its direction: the scene is
+    the factors (harmonic gains (4, K), scaled clips (K, n)), rendered once from its K
+    rows, `render_ambisonic_hrir(mix([encode(...)]))` byte for byte. Gains so large that
+    the mono mix or the render overflows are a ValueError naming them.
     """
     n = seconds_to_samples(spec.duration_s, spec.sample_rate, "duration_s")
     gains, rows = np.empty((4, len(spec.sources))), np.empty((len(spec.sources), n))
-    mono_mix = np.zeros(n)
     per_source = []
     meta_sources = []
     for k, source in enumerate(spec.sources):
@@ -168,9 +169,7 @@ def synth_pseudo_pair(
         x = np.pad(clip.samples[:n], (0, n - min(clip.n_samples, n)))
         gains[:, k] = harmonic_vector(direction)
         unit = _unit_peak(x, f"clip {source.audio_ref!r} in its first {n} samples")
-        scaled = np.multiply(unit, source.gain, out=rows[k])
-        mono_mix += scaled
-        per_source.append(MonoSignal(scaled, spec.sample_rate))
+        per_source.append(MonoSignal(np.multiply(unit, source.gain, out=rows[k]), spec.sample_rate))
         meta_sources.append(
             {
                 "audio_ref": source.audio_ref,
@@ -190,14 +189,21 @@ def synth_pseudo_pair(
         "fov": spec.fov.to_dict(),
         "sources": meta_sources,
     }
-    return PseudoPair(
-        binaural=render_ambisonic_hrir(
-            BFormat._of_sources(gains, gains @ rows, spec.sample_rate, rows), arr, pack
-        ),
-        mono_mix=MonoSignal(mono_mix, spec.sample_rate),
-        per_source_mono=tuple(per_source),
-        metadata=metadata,
-    )
+    mono_mix = np.zeros(n)
+    # each scaled clip is finite, but their sum and its render can overflow:
+    # that is one error naming the gains, with no numpy warnings before it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for row in rows:
+                mono_mix += row
+            mono = MonoSignal(mono_mix, spec.sample_rate)
+            binaural = render_ambisonic_hrir(
+                BFormat._of_sources(gains, rows, spec.sample_rate), arr, pack
+            )
+        except _NonFinite as exc:
+            raise ValueError(f"source gains {[s.gain for s in spec.sources]} overflow the "
+                             f"scene: {exc}") from exc
+    return PseudoPair(binaural, mono, tuple(per_source), metadata)
 
 
 def _check_sampling(

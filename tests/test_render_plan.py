@@ -31,7 +31,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from binauralkit import binaural
+from binauralkit import ambisonic, binaural
 from binauralkit.ambisonic import BFormat, MonoSignal, encode, mix
 from binauralkit.binaural import (
     _CHUNK,
@@ -354,7 +354,7 @@ class TestSourceFactors:
         monos = [MonoSignal(first)] + [MonoSignal(rng.normal(size=300 - 100 * k)) for k in (1, 2)]
         dirs = [Direction(0.3 * k, -0.2 * k) for k in range(3)]
         parts = [encode(m, d) for m, d in zip(monos, dirs)]
-        assert parts[0]._factors[1].base is parts[0].data  # the W row, no copy
+        assert parts[0]._factors[1] is monos[0].data  # the source's own block, no copy
         assert parts[0]._factors[1].tobytes() == monos[0].data.tobytes()
         for k in (1, 2, 3):
             b = mix(parts[:k])
@@ -394,6 +394,89 @@ class TestSourceFactors:
             assert loaded.data.tobytes() == b.data.tobytes()
             want = render_ambisonic_hrir(b, arr, pack).data.tobytes()
             assert render_ambisonic_hrir(loaded, arr, pack).data.tobytes() == want
+
+
+class TestLazyBlock:
+    """A source-built signal (`encode`, a `mix` of fewer than four rows) is
+    only its factors until something reads its block or a channel: the
+    block is built then, once, checked and kept, with the bytes the product
+    always had."""
+
+    def test_first_read_builds_the_encoded_product(self):
+        samples = np.random.default_rng(10).normal(size=500)
+        samples[:6] = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310]
+        d = Direction(2.2, -0.4)  # X and Y gains negative: signed zeros flip
+        b = encode(MonoSignal(samples), d)
+        assert "data" not in vars(b) and b.n_samples == 500
+        data = b.data
+        assert data.tobytes() == (harmonic_vector(d)[:, None] * samples).tobytes()
+        assert not data.flags.writeable and b.data is data
+        for name, row in zip("wxyz", data):
+            assert getattr(b, name).base is data and getattr(b, name).tobytes() == row.tobytes()
+            assert not getattr(b, name).flags.writeable
+
+    def test_a_channel_read_first_builds_the_block_once(self):
+        b = encode(MonoSignal(np.arange(1.0, 9.0)), Direction(0.3, 0.2))
+        y = b.y
+        assert y.base is b.data and b.y is y and b._factors[1].shape == (1, 8)
+
+    def test_encode_allocates_no_block(self):
+        source, d = MonoSignal(np.random.default_rng(11).normal(size=10**5)), Direction(0.5, 0.1)
+        encode(source, d)  # first-call caches
+        tracemalloc.start()
+        try:
+            b = encode(source, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building the (4, n) product and its finite mask would take about 3.6 MB
+        assert peak < 1024, peak
+        assert b._factors[1] is source.data
+
+    def test_built_block_is_still_checked_and_names_its_channel(self):
+        huge = MonoSignal(np.full(4, 1e308))
+        b = mix([encode(huge, Direction(0.0, 0.0)), encode(huge, Direction(0.1, 0.0))])
+        message = "^w channel contains non-finite samples$"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            b.data
+        with pytest.raises(AttributeError, match="no attribute 'q'"):
+            b.q
+
+    def test_an_attribute_error_inside_the_build_is_not_masked(self, monkeypatch):
+        b = encode(MonoSignal(np.ones(3)), Direction(0.0, 0.0))
+
+        def broken(sig, data):
+            raise AttributeError("raised inside the build")
+
+        monkeypatch.setattr(ambisonic._Signal, "_store", broken)
+        with pytest.raises(AttributeError, match="^raised inside the build$"):
+            b.data
+
+    def test_encoded_signal_pickles_as_its_source(self):
+        arr, pack = default_speaker_array(), synth_pack()
+        b = encode(MonoSignal(np.random.default_rng(12).normal(size=10**4)), Direction(-0.7, 0.2))
+        size = len(pickle.dumps(b))
+        assert size < b.data.nbytes / 4 + 1024, (size, b.data.nbytes)
+        for sig in (b, encode(MonoSignal(np.ones(10**4)), Direction(0.1, 0.1))):
+            loaded = pickle.loads(pickle.dumps(sig))  # the second pickled before any read
+            assert "data" not in vars(loaded)
+            want = render_ambisonic_hrir(sig, arr, pack).data.tobytes()
+            assert render_ambisonic_hrir(loaded, arr, pack).data.tobytes() == want
+            assert loaded.data.tobytes() == sig.data.tobytes()
+
+    def test_single_source_mix_equals_the_summed_block(self):
+        # the block is the product, not a sum into zeros as `mix` once built
+        # it: 0.0 + -0.0 gave +0 where the product keeps -0. Only the sign of
+        # a zero differs, so the two are equal by ==, and so is every render
+        samples = np.random.default_rng(13).normal(size=200)
+        samples[:4] = [-0.0, 0.0, -5e-324, 5e-324]
+        part = encode(MonoSignal(samples), Direction(2.5, 0.3))
+        want = np.zeros((4, 200))
+        want += part.data
+        got = mix([part]).data
+        assert np.array_equal(got, want)
+        assert np.signbit(got[0, 0]) and not np.signbit(want[0, 0])
+        assert np.abs(got).tobytes() == np.abs(want).tobytes()
 
 
 class TestFftConvolve:

@@ -11,10 +11,11 @@ sum_k max(sum_c |G[ear, c]| * |b_k,c|), the largest value each source's
 render could reach before that cancellation; it bounds sum_k max|render_k|
 from above.
 
-The scene block itself is `mix` of the sources' `encode`s, product for
-product and sum for sum, so the single render is compared with
-`render_ambisonic_hrir(mix([encode(...)]))` byte for byte. A scene builds
-only the signals it returns, counted through `_Signal._store`.
+The scene's B-format signal has the factors of the `mix` of the sources'
+`encode`s, so the single render is compared with
+`render_ambisonic_hrir(mix([encode(...)]))` byte for byte. A scene stores
+only the blocks of the signals it returns, counted through
+`_Signal._store`: its B-format block is never built.
 """
 
 import json
@@ -296,7 +297,7 @@ class TestSceneBlock:
 
 class TestSignalCount:
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_a_scene_builds_k_plus_3_signals(self, monkeypatch, k):
+    def test_a_scene_stores_k_plus_2_blocks(self, monkeypatch, k):
         rng = np.random.default_rng(k)
         # already-decoded clips, so only the scene's own signals are counted
         store = {
@@ -315,6 +316,7 @@ class TestSignalCount:
 
         monkeypatch.setattr(ambisonic._Signal, "_store", counting)
         pair = synth_pseudo_pair(spec, store, PACK, ARR)
-        # one signal per source, the mono mix, the scene block and the binaural pair
-        assert sorted(built) == sorted(["MonoSignal"] * (k + 1) + ["BFormat", "BinauralSignal"])
+        # one block per source, the mono mix and the binaural pair; the scene's
+        # B-format signal is only its factors, and nothing reads its block
+        assert sorted(built) == sorted(["MonoSignal"] * (k + 1) + ["BinauralSignal"])
         assert len(pair.per_source_mono) == k

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from binauralkit.spherical import Direction
 from binauralkit.visualmap import DEFAULT_FOV, direction_to_pixel
 
 SR = 16000
+DRAWS = Path(__file__).with_name("scene_draws.json")
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,17 @@ class TestSynthPseudoPair:
         )
         np.testing.assert_allclose(pair.binaural.left, reference.left, atol=1e-12)
         np.testing.assert_array_equal(pair.mono_mix.samples, expected_mono.samples)
+
+    @pytest.mark.parametrize("gain, part", [(1e307, "left"), (1.7e308, "samples")])
+    def test_overflowing_gains_are_named_without_warnings(self, store, pack, arr, gain, part):
+        # 1e307 overflows inside the render's FFTs, 1.7e308 already in the mono mix
+        spec = scene([SceneSource(f"clip{i}", (0.5 * i - 0.5, 0.1), gain) for i in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"source gains {[gain] * 3} overflow the scene: "
+                    f"{part} channel contains non-finite samples")):
+                synth_pseudo_pair(spec, store, pack, arr)
 
     def test_zero_gain_source_disappears(self, store, pack, arr):
         base = scene([SceneSource("clip0", (0.2, -0.1), gain=0.8)])
@@ -278,6 +291,21 @@ class TestSampleScene:
         assert counts[2] / n == pytest.approx(0.5, abs=0.02)
         assert counts[3] / n == pytest.approx(0.1, abs=0.02)
 
+    def test_draws_match_the_pinned_table(self):
+        # K, the clip picks and the exact u, v and gain of 3 master seeds x 50
+        # indices, as numpy drew them when the table was written: these draws
+        # take no FFT, so only numpy's generators or the draw order can move them
+        table = json.loads(DRAWS.read_text())
+        for master, scenes in table["draws"].items():
+            assert len(scenes) == 50
+            for i, want in enumerate(scenes):
+                sources = sample_scene(scene_seed(int(master), i), table["pool"]).sources
+                got = {"k": len(sources), "picks": [s.audio_ref for s in sources],
+                       "u": [s.placement[0].hex() for s in sources],
+                       "v": [s.placement[1].hex() for s in sources],
+                       "gain": [float(s.gain).hex() for s in sources]}
+                assert got == want, (master, i)
+
     def test_pool_too_small_rejected(self):
         with pytest.raises(ValueError, match="pool"):
             sample_scene(0, ["a", "b"])
@@ -401,6 +429,15 @@ class TestGenDataset:
         broken = {"clip0": MonoSignal(np.ones(100), SR)}  # other refs missing
         with pytest.raises(RuntimeError, match=r"scene \d+"):
             gen_dataset(self.make_config(tmp_path / "f", count=8), broken, pack, arr)
+
+    def test_overflowing_scene_is_named_with_its_index(self, tmp_path, store, pack, arr):
+        config = replace(self.make_config(tmp_path / "o"), ratios=(0.0, 0.0, 1.0),
+                         gain_range=(1e307, 1e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=re.escape(
+                    "scene 0 failed: source gains [1e+307, 1e+307, 1e+307] overflow the scene")):
+                gen_dataset(config, store, pack, arr)
 
     def test_failed_scene_writes_failed_file_and_no_manifest(self, tmp_path, pack, arr):
         broken = {"clip0": MonoSignal(np.ones(100), SR)}  # other refs missing

@@ -1,9 +1,10 @@
 """Signals the library computes keep the block they were computed in.
 
-`encode`, `mix`, `decode_wy`, `spectral.reconstruct_lr` and both HRIR
-decoders (through `binaural._render`) hand their freshly built block to
-`_Signal._adopt` instead of splitting it into rows for the public
-constructor to stack again. The oracle for each is that per-row
+`decode_wy`, `spectral.reconstruct_lr`, both HRIR decoders (through
+`binaural._render`) and a `mix` of four or more rows hand their freshly
+built block to `_Signal._adopt` instead of splitting it into rows for the
+public constructor to stack again; `encode` builds its block from its
+factors on the first read. The oracle for each is that per-row
 construction, with the formulas it used; the two must agree bytewise, or
 fail with the same message.
 """

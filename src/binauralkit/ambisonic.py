@@ -9,12 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .spherical import Direction, harmonic_vector
 from .wavio import as_sample_rate
+
+if TYPE_CHECKING:  # spherical loads on the first encode, so reading and scoring never load it
+    from .spherical import Direction
 
 DEFAULT_SAMPLE_RATE = 16000
 
@@ -80,9 +82,7 @@ class _Signal:
     def _store(self, data: np.ndarray) -> None:
         """Check `data` and the rate, then keep `data` read-only with a row view per channel."""
         names = self._channels()
-        for name, finite in zip(names, np.isfinite(data).all(axis=1)):
-            if not finite:
-                raise _NonFinite(f"{name} channel contains non-finite samples")
+        _check_finite(names, data)
         object.__setattr__(self, "sample_rate", as_sample_rate(self.sample_rate))
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -96,6 +96,14 @@ class _Signal:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
+
+
+def _check_finite(names: Sequence[str], data: np.ndarray) -> None:
+    """Raise `_NonFinite` naming the first row of `data` (one per name) that
+    holds a non-finite sample."""
+    for name, finite in zip(names, np.isfinite(data).all(axis=1)):
+        if not finite:
+            raise _NonFinite(f"{name} channel contains non-finite samples")
 
 
 def _check_pair(a: _Signal, b: _Signal) -> None:
@@ -159,12 +167,20 @@ class BFormat(_Signal):
         # reached only for an attribute not set yet: a source-built signal's block and channels
         if (name != "data" and name not in self._channels()) or "_factors" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        gains, rows = self._factors
-        data = gains[:, :1] * rows[0]
-        for k in range(1, len(rows)):
-            data += gains[:, k : k + 1] * rows[k]
-        _Signal._store(self, data)  # the finite check names the channel; the factors stay
+        # the finite check names the channel; the factors stay
+        _Signal._store(self, _product(*self._factors))
         return vars(self)[name]
+
+    def _rows(self, *names: str):
+        """The named channels: row views of the block once it is built, else
+        just those rows, built from the factors by the block's own rule and
+        checked by name, with no block built or stored."""
+        if "data" in vars(self):
+            return [vars(self)[name] for name in names]
+        gains, rows = self._factors
+        out = _product(gains[[self._channels().index(name) for name in names]], rows)
+        _check_finite(names, out)
+        return out
 
     def __reduce__(self):
         # the factors of a source-built signal, about a quarter of its block for one source
@@ -178,9 +194,20 @@ class BFormat(_Signal):
         return self._factors[1].shape[1]
 
 
+def _product(gains: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """gains @ rows by the one rule every built channel follows:
+    gains[:, :1] * rows[0], then += gains[:, k:k+1] * rows[k] for each later k."""
+    out = gains[:, :1] * rows[0]
+    for k in range(1, len(rows)):
+        out += gains[:, k : k + 1] * rows[k]
+    return out
+
+
 def encode(source: MonoSignal, direction: Direction) -> BFormat:
     """Encode a mono source at a direction into first-order B-format: the
     factors (harmonic gains, the source's own read-only block), no product."""
+    from .spherical import harmonic_vector
+
     if source.n_samples == 0:
         raise ValueError("cannot encode an empty signal")
     # a finite row times gains of at most 1 in size is finite, so nothing is checked here
@@ -190,9 +217,10 @@ def encode(source: MonoSignal, direction: Direction) -> BFormat:
 def mix(parts: Sequence[BFormat]) -> BFormat:
     """Channel-wise sum of B-format signals; shorter parts are zero-padded.
 
-    Below four rows in all, the mix is the parts' factors side by side, each
-    row zero-padded to the mix's length; from four on, it sums the parts'
-    blocks and factors as (I4, data) like any channel-built signal.
+    Below four rows in all, the mix is the parts' factors side by side, their
+    rows written into one zero block of the mix's length; from four on, it
+    sums the parts' blocks and factors as (I4, data) like any channel-built
+    signal.
     """
     if len(parts) == 0:
         raise ValueError("cannot mix an empty list of B-format signals")
@@ -202,8 +230,11 @@ def mix(parts: Sequence[BFormat]) -> BFormat:
     n = max(p.n_samples for p in parts)
     gains = np.hstack([p._factors[0] for p in parts])
     if gains.shape[1] < 4:
-        rows = np.concatenate([np.pad(p._factors[1], ((0, 0), (0, n - p.n_samples)))
-                               for p in parts])
+        rows, k = np.zeros((gains.shape[1], n)), 0
+        for p in parts:
+            part = p._factors[1]
+            rows[k : k + len(part), : part.shape[1]] = part
+            k += len(part)
         return BFormat._of_sources(gains, rows, parts[0].sample_rate)
     out = np.zeros((4, n))
     for p in parts:

@@ -20,14 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import wavio
 from .ambisonic import BFormat, MonoSignal, _Signal
-from .hrir import HrirPack, nearest
-from .spherical import Direction, harmonic_vector
+
+if TYPE_CHECKING:  # hrir and spherical load where a render needs them: `eval` loads neither
+    from .hrir import HrirPack
+    from .spherical import Direction
 
 # Largest accepted 2-norm condition number of the harmonic matrix. Past it
 # the pseudoinverse's gains run to hundreds and cancel each other, and the
@@ -66,6 +69,8 @@ class SpeakerArray:
     d_pinv: np.ndarray = field(init=False)  # (M, 4)
 
     def __post_init__(self):
+        from .spherical import harmonic_vector
+
         directions = tuple(self.directions)
         if len(directions) < 4:
             raise ValueError(f"need at least 4 speakers, got {len(directions)}")
@@ -88,14 +93,21 @@ class SpeakerArray:
 @cache
 def default_speaker_array() -> SpeakerArray:
     """The default 8-speaker frontal arc, one shared instance."""
+    from .spherical import Direction
+
     return SpeakerArray(
         [Direction(az, el) for az, el in zip(_DEFAULT_AZIMUTHS, _DEFAULT_ELEVATIONS)]
     )
 
 
 def decode_wy(b: BFormat) -> BinauralSignal:
-    """left = W + Y, right = W - Y."""
-    return BinauralSignal._adopt(b.w + [[1.0], [-1.0]] * b.y, b.sample_rate)
+    """left = W + Y, right = W - Y. A signal built from sources builds its W
+    and Y rows alone, not its (4, n) block."""
+    w, y = b._rows("w", "y")
+    out = np.empty((2, len(w)))
+    np.add(w, y, out=out[0])
+    np.subtract(w, y, out=out[1])
+    return BinauralSignal._adopt(out, b.sample_rate)
 
 
 def fft_convolve(x: np.ndarray, firs: np.ndarray) -> np.ndarray:
@@ -155,6 +167,8 @@ def _ear_pairs(entries) -> np.ndarray:
 
 def render_direct_hrir(source: MonoSignal, direction: Direction, pack: HrirPack) -> BinauralSignal:
     """Convolve the source with the HRIR pair nearest the given direction."""
+    from .hrir import nearest
+
     return _render(source.data, source.sample_rate, _ear_pairs([nearest(pack, direction)]), pack)
 
 
@@ -171,6 +185,8 @@ def _ear_filters(arr: SpeakerArray, pack: HrirPack) -> np.ndarray:
     Both arguments are eq=False dataclasses, so the cache is keyed by
     identity; the result is read-only because every caller shares it.
     """
+    from .hrir import nearest
+
     entries = [nearest(pack, d) for d in arr.directions]
     g = np.einsum("mc,emt->ect", arr.d_pinv, _ear_pairs(entries))
     g.flags.writeable = False
@@ -196,3 +212,13 @@ def write_binaural_wav(path, sig: BinauralSignal, fmt: str = "float32") -> None:
 def read_binaural_wav(path) -> BinauralSignal:
     sample_rate, data = wavio.read_wav(path, channels=2)
     return BinauralSignal(*data.T, sample_rate)
+
+
+def __getattr__(name: str):
+    # `binaural.nearest`, the lookup the renderers call, stays readable (perfbench's
+    # tracer tests read it) without loading hrir before something asks for it
+    if name == "nearest":
+        from .hrir import nearest
+
+        return nearest
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,10 @@ Angles are taken in degrees here and converted to radians internally.
 Every subcommand is deterministic given its flags and input files; all
 failures exit nonzero with a single "error: ..." line on stderr.
 Each subcommand imports the modules it runs, so a process loads only
-those: importing this module loads no other binauralkit module and no numpy.
+those: importing this module loads no other binauralkit module and no numpy,
+and `eval` loads no render code (neither `hrir` nor `spherical`). A process
+started as `binauralkit` or `python -m binauralkit.cli` runs `_run`, which
+exits without the interpreter's final garbage-collection pass.
 """
 
 from __future__ import annotations
@@ -232,5 +235,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def _run() -> None:
+    """The process entry of `python -m binauralkit.cli` and of the `binauralkit`
+    script: `main`, then exit with its code. Freezing the collector first moves
+    every object numpy and the package made out of its reach, so shutdown skips
+    that final pass; memory goes back with the process, while stream flushes and
+    `atexit` handlers still run. `main` itself leaves the collector as it was."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -711,7 +712,8 @@ SUBMODULES = sorted(f"binauralkit.{p.stem}" for p in PACKAGE.glob("*.py")
      ["binauralkit.metrics", "binauralkit.spectral", "binauralkit.scenegen",
       "binauralkit._kernels"]),
     (["eval", "--gt", "gt.wav", "--pred", "pred.wav"],
-     ["binauralkit.scenegen", "binauralkit.visualmap"]),
+     ["binauralkit.scenegen", "binauralkit.visualmap", "binauralkit.hrir",
+      "binauralkit.spherical"]),
 ], ids=["import", "render", "eval"])
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     # a fresh interpreter, so modules other tests loaded do not count
@@ -734,3 +736,81 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, unused):
              if m.split(".")[0] in ("scipy", "numba") or m.split(".")[:2] == ["numpy", "ma"]]
     assert heavy == []
     assert sorted(set(unused) & set(modules)) == []
+
+
+def write_entry_inputs(root):
+    """The inputs every process-entry run reads, the same bytes in each folder."""
+    root.mkdir()
+    write_tone(root / "tone.wav")
+    rng = np.random.default_rng(66)
+    for name in ("gt.wav", "pred.wav"):
+        wavio.write_wav(root / name, SR, rng.normal(size=(SR, 2)) * 0.1)
+    pool = TestDataset().make_pool(root)
+    TestDataset().write_config(root, pool, count=5)
+
+
+ENTRY_RUNS = [
+    ["render", "--in", "tone.wav", "--out", "wy.wav", "--decoder", "wy", "--azimuth-deg", "30"],
+    ["render", "--in", "tone.wav", "--out", "hrir.wav", "--decoder", "hrir",
+     "--azimuth-deg", "-50", "--fmt", "pcm16"],
+    ["render", "--in", "tone.wav", "--out", "ambi.wav", "--pixel", "0.3", "-0.2"],
+    ["eval", "--gt", "gt.wav", "--pred", "pred.wav", "--report", "report.json"],
+    ["compare-decoders", "--in", "tone.wav", "--out-dir", "compare", "--azimuth-deg", "40"],
+    ["hrir-synth", "--out-dir", "pack", "--n-azimuths", "12"],
+    ["dataset", "--config", "config.json"],
+    ["eval", "--gt", "gt.wav", "--pred", "missing.wav"],
+    ["--help"],
+]
+
+
+def test_process_entry_runs_as_main_does(tmp_path, monkeypatch, capsys):
+    # `python -m binauralkit.cli` exits through `_run`, which freezes the
+    # collector before exit: codes, streams and files are those of `main`
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps --help to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    process, in_process = tmp_path / "process", tmp_path / "in_process"
+    for root in (process, in_process):
+        write_entry_inputs(root)
+    monkeypatch.chdir(in_process)
+    frozen = gc.get_freeze_count()
+    for argv in ENTRY_RUNS:
+        proc = subprocess.run([sys.executable, "-m", "binauralkit.cli", *argv], env=env,
+                              cwd=process, capture_output=True, text=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+        if argv[-1] == "missing.wav":
+            assert code == 1 and len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("error: ") and "missing.wav" in proc.stderr
+        else:
+            assert code == 0 and proc.stderr == ""
+    assert gc.get_freeze_count() == frozen  # main leaves the collector as it was
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    files = tree(process)
+    assert files == tree(in_process)
+    for name in ("wy.wav", "hrir.wav", "ambi.wav", "report.json", "compare/decoder_distances.json",
+                 "pack/index.json", "out/manifest.json"):
+        assert name in files
+
+
+def test_console_script_exits_frozen_after_atexit_and_flush(tmp_path):
+    # the script's target, called as the installed `binauralkit` wrapper calls
+    # it: the collector is frozen by exit, and atexit handlers still run after
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["binauralkit"]
+    probe = (
+        "import atexit, gc, sys; from importlib import import_module; "
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0)); "
+        "module, name = sys.argv[1].split(':'); sys.argv[1:] = sys.argv[2:]; "
+        "sys.exit(getattr(import_module(module), name)())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for argv, code in ((["--help"], 0), (["eval", "--gt", "a.wav", "--pred", "b.wav"], 1)):
+        proc = subprocess.run([sys.executable, "-c", probe, target, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == code and proc.stdout.endswith("frozen at exit: True\n")

@@ -38,6 +38,7 @@ from binauralkit.binaural import (
     SpeakerArray,
     _ear_filters,
     _ear_pairs,
+    decode_wy,
     default_speaker_array,
     fft_convolve,
     project_to_speakers,
@@ -477,6 +478,79 @@ class TestLazyBlock:
         assert np.array_equal(got, want)
         assert np.signbit(got[0, 0]) and not np.signbit(want[0, 0])
         assert np.abs(got).tobytes() == np.abs(want).tobytes()
+
+    def test_mix_allocates_only_its_rows(self):
+        # padding each part and then joining the copies held the rows twice
+        rng = np.random.default_rng(14)
+        parts = [encode(MonoSignal(rng.normal(size=10**5)), Direction(0.4 * k, 0.1))
+                 for k in range(3)]
+        mix(parts)  # first-call caches
+        tracemalloc.start()
+        try:
+            b = mix(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = b._factors[1]
+        assert rows.shape == (3, 10**5) and "data" not in vars(b)
+        assert rows.nbytes <= peak < rows.nbytes + 64 * 1024, (peak, rows.nbytes)
+
+
+class TestDecodeWy:
+    """`decode_wy` of a source-built signal builds its W and Y rows alone, by
+    the block's own rule: the bytes of left = W + Y and right = W - Y on its
+    built block, with no block built or kept."""
+
+    @staticmethod
+    def sources(seed, k):
+        rng = np.random.default_rng(seed)
+        monos = [rng.normal(size=300 - 40 * j) for j in range(k)]
+        monos[0][:6] = [-0.0, 0.0, -0.0, 5e-324, -5e-324, -1e-310]
+        # X and Y gains of both signs, so products and sums meet signed zeros
+        dirs = [Direction(2.2 - 1.9 * j, -0.4 + 0.3 * j) for j in range(k)]
+        return [encode(MonoSignal(m), d) for m, d in zip(monos, dirs)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3], ids=["encode", "mix2", "mix3"])
+    def test_bytes_equal_the_decode_of_the_block(self, k):
+        parts = self.sources(15 + k, k)
+        b = parts[0] if k == 1 else mix(parts)
+        got = decode_wy(b)
+        assert "data" not in vars(b)
+        # the rule decode_wy always had, on the block the signal builds when read
+        want = b.w + [[1.0], [-1.0]] * b.y
+        assert got.data.tobytes() == want.tobytes()
+        # and on a signal that keeps its block, it reads the block's rows
+        assert decode_wy(b).data.tobytes() == want.tobytes()
+        channels = BFormat(*b.data, sample_rate=b.sample_rate)
+        assert decode_wy(channels).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sign, channel", [(1.0, "w"), (-1.0, "y")])
+    def test_a_non_finite_w_or_y_names_its_channel(self, sign, channel):
+        # left and right sources at +-1e308: W overflows for equal signs and
+        # cancels for opposite ones, where Y overflows instead
+        huge = MonoSignal(np.full(4, 1e308))
+        b = mix([encode(huge, Direction(math.pi / 2, 0.0)),
+                 encode(MonoSignal(sign * huge.samples), Direction(-math.pi / 2, 0.0))])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=f"^{channel} channel contains non-finite samples$"
+        ):
+            decode_wy(b)
+        assert "data" not in vars(b)
+
+    def test_builds_no_block(self):
+        source, d = MonoSignal(np.random.default_rng(18).normal(size=10**5)), Direction(0.5, 0.1)
+        decode_wy(encode(source, d))  # first-call caches
+        b = encode(source, d)
+        tracemalloc.start()
+        try:
+            out = decode_wy(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the W and Y rows, the output and a finite mask: the (4, n) block, its
+        # mask and two (2, n) temporaries came to four times the output
+        assert peak < 2.25 * out.data.nbytes, (peak, out.data.nbytes)
+        assert "data" not in vars(b)
 
 
 class TestFftConvolve:

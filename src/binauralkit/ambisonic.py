@@ -13,12 +13,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .wavio import as_sample_rate
+from .wavio import DEFAULT_SAMPLE_RATE, as_sample_rate
 
 if TYPE_CHECKING:  # spherical loads on the first encode, so reading and scoring never load it
     from .spherical import Direction
-
-DEFAULT_SAMPLE_RATE = 16000
 
 
 def seconds_to_samples(seconds: float, sample_rate: int, name: str) -> int:

@@ -2,7 +2,8 @@
 
 Angles are taken in degrees here and converted to radians internally.
 Every subcommand is deterministic given its flags and input files; all
-failures exit nonzero with a single "error: ..." line on stderr.
+failures exit nonzero with a single "error: ..." line on stderr. A flag
+whose default is the library's own is passed on only when given.
 Each subcommand imports the modules it runs, so a process loads only
 those: importing this module loads no other binauralkit module and no numpy,
 and `eval` loads no render code (neither `hrir` nor `spherical`). A process
@@ -89,13 +90,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    from .scenegen import gen_dataset, load_dataset_config
+    from .scenegen import MAX_SOURCES, gen_dataset, load_dataset_config
 
     config, store, pack, arr = load_dataset_config(args.config)
     manifest = gen_dataset(config, store, pack, arr)
     ks = [len(m["source_wavs"]) for m in manifest]
     print(f"wrote {len(manifest)} scenes to {Path(config.output_dir)}")
-    print(f"sources per scene: K=1: {ks.count(1)}, K=2: {ks.count(2)}, K=3: {ks.count(3)}")
+    counts = (f"K={k}: {ks.count(k)}" for k in range(1, MAX_SOURCES + 1))
+    print(f"sources per scene: {', '.join(counts)}")
     return 0
 
 
@@ -151,12 +153,9 @@ def cmd_compare_decoders(args) -> int:
 def cmd_hrir_synth(args) -> int:
     from .hrir import load_pack, save_pack, synth_pack
 
-    pack = synth_pack(
-        n_azimuths=args.n_azimuths,
-        head_radius=args.head_radius,
-        ild_db=args.ild_db,
-        sample_rate=args.sample_rate,
-    )
+    # a flag left out is absent from args, so synth_pack's own default applies
+    params = ("n_azimuths", "head_radius", "ild_db", "sample_rate")
+    pack = synth_pack(**{k: v for k, v in vars(args).items() if k in params})
     save_pack(pack, args.out_dir)
     reloaded = load_pack(args.out_dir)
     if len(reloaded.entries) != len(pack.entries):
@@ -213,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hrir-synth", help="generate and save a synthetic HRIR pack")
     p.add_argument("--out-dir", required=True, help="pack directory to write")
-    p.add_argument("--n-azimuths", type=int, default=24)
-    p.add_argument("--head-radius", type=float, default=0.0875, help="meters")
-    p.add_argument("--ild-db", type=float, default=6.0)
-    p.add_argument("--sample-rate", type=int, default=16000)
+    p.add_argument("--n-azimuths", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--head-radius", type=float, default=argparse.SUPPRESS, help="meters")
+    p.add_argument("--ild-db", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--sample-rate", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_hrir_synth)
 
     return parser

@@ -1,7 +1,8 @@
 """HRIR packs: on-disk format, synthetic generation, nearest-direction lookup.
 
 A pack is a directory holding one mono WAV per ear per direction and an
-``index.json`` of exactly these keys, each type-checked by `_from_json`::
+``index.json`` of exactly the fields of `_Index` and `_IndexEntry`, written
+from them by `save_pack` and type-checked against them by `_from_json`::
 
     {"name": ..., "sample_rate": ...,
      "entries": [{"azimuth_deg": ..., "elevation_deg": ...,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -105,7 +106,7 @@ def synth_pack(
     n_azimuths: int = 24,
     head_radius: float = 0.0875,
     ild_db: float = 6.0,
-    sample_rate: int = 16000,
+    sample_rate: int = wavio.DEFAULT_SAMPLE_RATE,
 ) -> HrirPack:
     """Generate a deterministic horizontal-ring pack of simplified HRIRs.
 
@@ -183,21 +184,14 @@ def save_pack(pack: HrirPack, path) -> None:
     """Write a pack directory: index.json plus float32 mono WAVs per ear."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    index_entries = []
+    entries = []
     for i, e in enumerate(pack.entries):
-        left_name = f"d{i:03d}_L.wav"
-        right_name = f"d{i:03d}_R.wav"
-        wavio.write_wav(root / left_name, pack.sample_rate, e.left_fir)
-        wavio.write_wav(root / right_name, pack.sample_rate, e.right_fir)
-        index_entries.append(
-            {
-                "azimuth_deg": math.degrees(e.direction.azimuth),
-                "elevation_deg": math.degrees(e.direction.elevation),
-                "left": left_name,
-                "right": right_name,
-            }
-        )
-    index = {"name": pack.name, "sample_rate": pack.sample_rate, "entries": index_entries}
+        entry = _IndexEntry(math.degrees(e.direction.azimuth), math.degrees(e.direction.elevation),
+                            f"d{i:03d}_L.wav", f"d{i:03d}_R.wav")
+        wavio.write_wav(root / entry.left, pack.sample_rate, e.left_fir)
+        wavio.write_wav(root / entry.right, pack.sample_rate, e.right_fir)
+        entries.append(entry)
+    index = asdict(_Index(pack.name, pack.sample_rate, entries))
     (root / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
 
 

@@ -6,7 +6,7 @@ gain-scaled (gain doubles as the depth proxy and the visual patch scale) and enc
 its mapped direction: the scene's B-format signal is only its factors, harmonic gains
 (4, K) and the K scaled sources, so its one render through the virtual speakers convolves
 K source rows, and no (4, n) block is built.
-Each random draw is keyed off a seed, so (master_seed, index) fixes each byte.
+Each random draw is keyed off a seed, so (master_seed, index), two integers, fixes each byte.
 A dataset config file is read against `DatasetConfig` (its `fov` against
 `FovConfig`) by `hrir._from_json`: exact keys, typed values.
 """
@@ -14,9 +14,8 @@ A dataset config file is read against `DatasetConfig` (its `fov` against
 from __future__ import annotations
 
 import json
-import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -59,18 +58,24 @@ class SceneSource:
     def __post_init__(self):
         if not 0 <= self.gain < np.inf:
             raise ValueError(f"gain must be finite and non-negative, got {self.gain}")
-        u, v = self.placement
-        object.__setattr__(self, "placement", (float(u), float(v)))
+        try:
+            u, v = self.placement
+            if isinstance(u, str) or isinstance(v, str):  # "12" unpacks to two parsable strs
+                raise TypeError
+            u, v = float(u), float(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"placement must be a pair of numbers (u, v), "
+                             f"got {self.placement!r}") from None
+        object.__setattr__(self, "placement", (u, v))
 
 
 def _check_seed(seed) -> int:
     """`seed` as an int, or a ValueError naming it unless it is an integer
     (numpy's too, not a bool) that fits a uint64."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = wavio.as_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class SceneSpec:
     sources: tuple[SceneSource, ...]
     fov: FovConfig = DEFAULT_FOV
     seed: int = 0
-    sample_rate: int = 16000
+    sample_rate: int = wavio.DEFAULT_SAMPLE_RATE
     duration_s: float = DEFAULT_DURATION_S
 
     def __post_init__(self):
@@ -210,11 +215,11 @@ def _check_sampling(
     pool: Sequence[str], ratios: Sequence[float], gain_range: tuple[float, float]
 ) -> np.ndarray:
     """Validate the scene-sampling parameters; returns ratios as an array."""
-    if len(pool) < 3:
-        raise ValueError(f"clip pool must hold at least 3 clips, got {len(pool)}")
+    if len(pool) < MAX_SOURCES:
+        raise ValueError(f"clip pool must hold at least {MAX_SOURCES} clips, got {len(pool)}")
     ratios = np.asarray(ratios, dtype=np.float64)
-    if ratios.shape != (3,) or not np.all(ratios >= 0) or abs(ratios.sum() - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be 3 non-negative values summing to 1, got {ratios}")
+    if ratios.shape != (MAX_SOURCES,) or not np.all(ratios >= 0) or abs(ratios.sum() - 1) > 1e-9:
+        raise ValueError(f"ratios must be {MAX_SOURCES} non-negative values summing to 1, got {ratios}")
     if len(gain_range) != 2 or not 0 < gain_range[0] <= gain_range[1] < np.inf:
         raise ValueError(f"gain_range must be two finite values 0 < lo <= hi, got {gain_range}")
     return ratios
@@ -226,17 +231,17 @@ def sample_scene(
     ratios: Sequence[float] = DEFAULT_RATIOS,
     *,
     fov: FovConfig = DEFAULT_FOV,
-    sample_rate: int = 16000,
+    sample_rate: int = wavio.DEFAULT_SAMPLE_RATE,
     duration_s: float = DEFAULT_DURATION_S,
     gain_range: tuple[float, float] = DEFAULT_GAIN_RANGE,
 ) -> SceneSpec:
-    """Draw a random scene: K ~ ratios over {1,2,3}, K distinct clips,
+    """Draw a random scene: K ~ ratios over 1..MAX_SOURCES, K distinct clips,
     uniform in-frame placements, uniform gains. Deterministic in the seed."""
     ratios = _check_sampling(pool, ratios, gain_range)
     seed = _check_seed(rng_seed)  # before numpy's own check, which names nothing
     lo, hi = gain_range
     rng = np.random.default_rng(seed)
-    k = int(rng.choice(3, p=ratios / ratios.sum())) + 1
+    k = int(rng.choice(MAX_SOURCES, p=ratios / ratios.sum())) + 1
     picks = rng.choice(len(pool), size=k, replace=False)
     sources = []
     for idx in picks:
@@ -252,7 +257,7 @@ def make_separation_pair(
     clip_b: str,
     fov: FovConfig = DEFAULT_FOV,
     *,
-    sample_rate: int = 16000,
+    sample_rate: int = wavio.DEFAULT_SAMPLE_RATE,
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
 ) -> SceneSpec:
@@ -265,7 +270,8 @@ def make_separation_pair(
 
 def scene_seed(master_seed: int, index: int) -> int:
     """Index-keyed seed split; stable across platforms and schedulings."""
-    return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1, np.uint64)[0])
+    entropy = (wavio.as_integer(master_seed, "master_seed"), wavio.as_integer(index, "index"))
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -275,12 +281,14 @@ class DatasetConfig:
     pool: tuple[str, ...]
     output_dir: str
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
-    sample_rate: int = 16000
+    sample_rate: int = wavio.DEFAULT_SAMPLE_RATE
     duration_s: float = DEFAULT_DURATION_S
     gain_range: tuple[float, float] = DEFAULT_GAIN_RANGE
-    fov: FovConfig = field(default_factory=FovConfig)
+    fov: FovConfig = DEFAULT_FOV
 
     def __post_init__(self):
+        for name in ("master_seed", "count"):
+            object.__setattr__(self, name, wavio.as_integer(getattr(self, name), name))
         object.__setattr__(self, "pool", tuple(self.pool))
         object.__setattr__(self, "sample_rate", wavio.as_sample_rate(self.sample_rate))
         if min(self.master_seed, self.count) < 0:

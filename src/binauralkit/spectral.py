@@ -13,7 +13,6 @@ squared window covers each sample by at least NOLA_TOL).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -23,7 +22,7 @@ import numpy as np
 from ._kernels import overlap_add
 from .ambisonic import MonoSignal, _check_pair
 from .binaural import BinauralSignal
-from .wavio import as_sample_rate
+from .wavio import DEFAULT_SAMPLE_RATE, as_integer, as_sample_rate
 
 NOLA_TOL = 1e-10
 
@@ -77,7 +76,7 @@ def _padded_window(cfg: StftConfig) -> np.ndarray:
     return padded
 
 
-DEFAULT_STFT = StftConfig(16000)
+DEFAULT_STFT = StftConfig(DEFAULT_SAMPLE_RATE)
 
 
 def _bins(value, what: str) -> np.ndarray:
@@ -105,12 +104,11 @@ class Spectrogram:
             raise ValueError(f"expected {self.config.n_bins} frequency rows, got {arr.shape[0]}")
         n = self.n_samples
         if n is not None:
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-                raise ValueError(f"n_samples must be an integer, got {n!r}")
+            n = as_integer(n, "n_samples")
             if n < 0 or self.config.frame_count(n) != arr.shape[1]:
                 raise ValueError(f"n_samples {n} is not a length whose STFT has the "
                                  f"spectrogram's {arr.shape[1]} frames")
-            object.__setattr__(self, "n_samples", int(n))
+            object.__setattr__(self, "n_samples", n)
         object.__setattr__(self, "bins", arr)
 
     @property
@@ -251,5 +249,8 @@ def loss_separation(
 
 
 def loss_total(stereo: float, sep: float, lambda_sep: float = 1.0) -> float:
-    """Combined objective: stereo + lambda_sep * sep."""
-    return stereo + lambda_sep * sep
+    """Combined objective: stereo + lambda_sep * sep, for a finite, non-negative
+    lambda_sep; a sum that is not finite is a ValueError naming the loss."""
+    if not 0 <= lambda_sep < np.inf:
+        raise ValueError(f"lambda_sep must be finite and non-negative, got {lambda_sep}")
+    return _finite("loss_total", stereo + lambda_sep * sep, "the losses")

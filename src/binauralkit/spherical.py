@@ -12,10 +12,11 @@ comparing.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .wavio import as_integer
 
 HALF_PI = math.pi / 2
 
@@ -77,12 +78,10 @@ def _legendre(l: int, m: int, x):
 def _order(l: int, m: int) -> int:
     """|m| as an int, or a ValueError unless l and m are integers (numpy's too,
     not bools) with 0 <= |m| <= l."""
-    for name, value in (("l", l), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"order {name} must be an integer, got {value!r}")
+    l, m = as_integer(l, "order l"), as_integer(m, "order m")
     if l < 0:
         raise ValueError(f"order l must be non-negative, got {l}")
-    m = abs(int(m))
+    m = abs(m)
     if m > l:
         raise ValueError(f"|m| = {m} exceeds l = {l}")
     return m

@@ -1,11 +1,12 @@
 """WAV helpers shared across the toolkit: a little-endian RIFF/WAVE reader
-and writer in numpy and `struct`.
+and writer in numpy and `struct`, and the input rules every module reads:
+`DEFAULT_SAMPLE_RATE`, `as_sample_rate` and `as_integer`.
 
 All internal processing is 64-bit float; files default to float32 so round
 trips stay exact at the storage precision. The writer refuses NaN and inf
 samples, and float32 samples past the float32 range, and otherwise writes
-the bytes `scipy.io.wavfile.write` would. The reader refuses float files
-that hold NaN or inf samples.
+the bytes `scipy.io.wavfile.write` would; it also refuses data of no channels,
+which no reader takes. The reader refuses float files that hold NaN or inf samples.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ _WRITE_FORMATS = {"float32": (IEEE_FLOAT, 4), "pcm16": (PCM, 2)}
 # chunk (a float one with its zero cbSize), the fact chunk (float only) and
 # the data chunk header
 _HEADER_BYTES = {PCM: 36, IEEE_FLOAT: 50}
+DEFAULT_SAMPLE_RATE = 16000  # Hz, the rate of the paper's STFT protocol: every rate default reads it
+
+
+def as_integer(value, name: str) -> int:
+    """`value`, an integer (numpy's too) but no bool, as a Python int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_sample_rate(value) -> int:
@@ -124,6 +133,8 @@ def read_wav(path, channels: int | None = None) -> tuple[int, np.ndarray]:
 def max_frames(channels: int, fmt: str = "float32") -> int:
     """The most frames of `channels` channels a `fmt` file from `write_wav` holds:
     its 32-bit RIFF size, headers plus samples, caps a WAV file at 4 GiB."""
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
     tag, width = _WRITE_FORMATS[fmt]
     return (0xFFFFFFFF - _HEADER_BYTES[tag]) // (channels * width)
 
@@ -138,6 +149,8 @@ def write_wav(path, sample_rate: int, data: np.ndarray, fmt: str = "float32") ->
     if data.ndim not in (1, 2):
         raise ValueError(f"WAV data must be 1-D or 2-D, got shape {data.shape}")
     channels = 1 if data.ndim == 1 else data.shape[1]
+    if channels == 0:  # a file its reader refuses, and a zero block align
+        raise ValueError(f"{path}: WAV data must hold at least one channel, got shape {data.shape}")
     block = channels * width
     for name, value, bits in (("sample rate", rate, 32), ("byte rate", rate * block, 32),
                               ("block align", block, 16)):

@@ -135,6 +135,21 @@ class TestHrirSynth:
         assert len(index["entries"]) == 8
         assert len(load_pack(out).entries) == 8
 
+    @pytest.mark.parametrize("flag, param, value", [
+        (None, None, None),
+        ("--n-azimuths", "n_azimuths", 9),
+        ("--head-radius", "head_radius", 0.1),
+        ("--ild-db", "ild_db", 4.5),
+        ("--sample-rate", "sample_rate", 22050),
+    ], ids=["no-flag", "n_azimuths", "head_radius", "ild_db", "sample_rate"])
+    def test_writes_the_pack_of_synth_pack(self, tmp_path, flag, param, value):
+        # a flag left out takes synth_pack's default, and each one sets only its parameter
+        flags = [] if flag is None else [flag, str(value)]
+        assert main(["hrir-synth", "--out-dir", str(tmp_path / "cli"), *flags]) == 0
+        save_pack(synth_pack(**({} if param is None else {param: value})), tmp_path / "lib")
+        written = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+        assert written == {p.name: p.read_bytes() for p in (tmp_path / "lib").iterdir()}
+
     def test_invalid_head_radius_fails(self, tmp_path, capsys):
         code = main(["hrir-synth", "--out-dir", str(tmp_path / "p"),
                      "--head-radius", "-1"])

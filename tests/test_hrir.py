@@ -242,6 +242,28 @@ class TestPackIO:
             assert ea.direction.azimuth == pytest.approx(eb.direction.azimuth, abs=1e-12)
             np.testing.assert_array_equal(ea.left_fir.astype(np.float32), eb.left_fir.astype(np.float32))
 
+    def test_index_text_is_pinned(self, tmp_path):
+        # the writer's bytes: `_Index` and its `_IndexEntry`s, keys sorted, two-space indent
+        save_pack(synth_pack(n_azimuths=2, sample_rate=8000), tmp_path)
+        assert (tmp_path / "index.json").read_text() == """{
+  "entries": [
+    {
+      "azimuth_deg": 0.0,
+      "elevation_deg": 0.0,
+      "left": "d000_L.wav",
+      "right": "d000_R.wav"
+    },
+    {
+      "azimuth_deg": 180.0,
+      "elevation_deg": 0.0,
+      "left": "d001_L.wav",
+      "right": "d001_R.wav"
+    }
+  ],
+  "name": "synthetic",
+  "sample_rate": 8000
+}"""
+
     def test_single_entry_pack(self, tmp_path):
         pack = HrirPack((entry_at(0, 0),), 16000, name="one")
         save_pack(pack, tmp_path / "one")

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +21,27 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from binauralkit import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(binauralkit.__all__)
+
+
+def test_every_sample_rate_default_is_the_one_default():
+    # the default rate is stated once, in wavio; every export that defaults one reads it
+    from binauralkit import spectral, wavio
+
+    defaults = {}
+    for name in binauralkit.__all__:
+        value = getattr(binauralkit, name)
+        if callable(value) and "sample_rate" in inspect.signature(value).parameters:
+            defaults[name] = inspect.signature(value).parameters["sample_rate"].default
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                if f.name == "sample_rate":
+                    defaults[f"{name} field"] = f.default
+    defaults = {k: v for k, v in defaults.items()
+                if v not in (inspect.Parameter.empty, dataclasses.MISSING)}
+    assert {"BFormat", "DatasetConfig", "MonoSignal", "SceneSpec", "make_separation_pair",
+            "sample_scene", "synth_pack"} <= defaults.keys()
+    assert {k: v for k, v in defaults.items() if v is not wavio.DEFAULT_SAMPLE_RATE} == {}
+    assert spectral.DEFAULT_STFT.sample_rate == wavio.DEFAULT_SAMPLE_RATE
 
 
 def test_dir_lists_every_export():

@@ -106,15 +106,36 @@ class TestSceneTypes:
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             sample_scene(seed, ["a", "b", "c"])
 
+    @pytest.mark.parametrize("make, name, value", [
+        (lambda v: DatasetConfig(v, 1, ("a", "b", "c"), "out"), "master_seed", 2.5),
+        (lambda v: DatasetConfig(v, 1, ("a", "b", "c"), "out"), "master_seed", True),
+        (lambda v: DatasetConfig(0, v, ("a", "b", "c"), "out"), "count", 2.5),
+        (lambda v: DatasetConfig(0, v, ("a", "b", "c"), "out"), "count", True),
+        (lambda v: scene_seed(v, 0), "master_seed", 2.5),
+        (lambda v: scene_seed(0, v), "index", 1.5),
+    ], ids=["master_seed-2.5", "master_seed-True", "count-2.5", "count-True",
+            "scene_seed-master_seed", "scene_seed-index"])
+    def test_dataset_seeds_and_count_must_be_integers(self, make, name, value):
+        # int() would make master seed 2.5 write master seed 2's dataset byte for byte
+        with pytest.raises(ValueError) as info:
+            make(value)
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
     def test_numpy_integer_seed_is_stored_as_an_int(self):
         spec = SceneSpec(sources=(SceneSource("clip0", (0.0, 0.0)),), seed=np.uint64(2**63 + 5))
         assert type(spec.seed) is int and spec.seed == 2**63 + 5
         pool = ["a", "b", "c"]
         assert sample_scene(np.uint64(9), pool) == sample_scene(9, pool)
+        config = DatasetConfig(np.int64(2), np.uint8(3), pool, "out")
+        assert (type(config.master_seed), type(config.count)) == (int, int)
+        assert scene_seed(np.uint64(2), np.int32(3)) == scene_seed(2, 3)
 
     def test_placement_is_a_pixel_pair(self):
-        with pytest.raises(TypeError):
-            SceneSource("c", Direction(0.0, 0.0))
+        for placement in (Direction(0.0, 0.0), (1, 2, 3), ("a", 0), 5, (1.0,), "12", ("1", 0)):
+            with pytest.raises(ValueError) as info:
+                SceneSource("c", placement)
+            assert str(info.value) == f"placement must be a pair of numbers (u, v), got {placement!r}"
+        assert SceneSource("c", (np.float32(0.5), 1)).placement == (0.5, 1.0)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):

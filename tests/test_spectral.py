@@ -475,16 +475,26 @@ class TestMixedRates:
 
 
 class TestLosses:
-    @pytest.mark.parametrize("loss, operands", [
-        (loss_stereo, lambda big, zero: (big, zero, big)),
-        (loss_separation, lambda big, zero: (big, big, zero, zero, big)),
-    ], ids=["loss_stereo", "loss_separation"])
-    def test_a_loss_that_overflows_is_named(self, loss, operands):
-        # finite bins whose squares overflow: named like the metrics' overflow
+    @pytest.mark.parametrize("loss, operands, message", [
+        (loss_stereo, lambda big, zero: (big, zero, big),
+         "loss_stereo is inf: the operands' bins are too large"),
+        (loss_separation, lambda big, zero: (big, big, zero, zero, big),
+         "loss_separation is inf: the operands' bins are too large"),
+        (loss_total, lambda big, zero: (1e308, 1e308), "loss_total is inf: the losses are too large"),
+        (loss_total, lambda big, zero: (1.0, 1.0, float("nan")),
+         "lambda_sep must be finite and non-negative, got nan"),
+        (loss_total, lambda big, zero: (1.0, 1.0, float("inf")),
+         "lambda_sep must be finite and non-negative, got inf"),
+        (loss_total, lambda big, zero: (1.0, 1.0, -1.0),
+         "lambda_sep must be finite and non-negative, got -1.0"),
+    ], ids=["loss_stereo", "loss_separation", "loss_total", "loss_total-nan-lambda",
+            "loss_total-inf-lambda", "loss_total-negative-lambda"])
+    def test_a_loss_that_overflows_is_named(self, loss, operands, message):
+        # finite operands whose squares or sum overflow: named like the metrics' overflow;
+        # so is a lambda_sep that would make the total inf, nan or negative
         big = Spectrogram(np.full((257, 4), 1e200), DEFAULT_STFT)
         zero = ComplexMask(np.zeros(big.shape))
-        with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match=f"^{loss.__name__} is inf: the operands' bins are too large"):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{message}"):
             loss(*operands(big, zero))
 
     def test_perfect_mask_loss_vanishes(self):

@@ -105,6 +105,12 @@ class TestWriterMatchesScipy:
             wavio.write_wav(tmp_path / "x.wav", SR, np.zeros(4), fmt="pcm24")
         with pytest.raises(ValueError, match=r"1-D or 2-D, got shape \(2, 2, 2\)"):
             wavio.write_wav(tmp_path / "x.wav", SR, np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError) as info:
+            wavio.write_wav(tmp_path / "x.wav", SR, np.zeros((5, 0)))
+        assert str(info.value) == (f"{tmp_path / 'x.wav'}: WAV data must hold at least one "
+                                   "channel, got shape (5, 0)")
+        with pytest.raises(ValueError, match="^channels must be at least 1, got 0$"):
+            wavio.max_frames(0)
         assert not (tmp_path / "x.wav").exists()
 
     @pytest.mark.parametrize("fmt, shape", [
